@@ -2,14 +2,11 @@
 
 ``bench_dist_overhead`` measures the pure round-trip cost of the
 broker/worker path — trivial ``echo`` jobs through an in-process broker
-and two local worker processes — parametrized over the wire shape:
-``perjob`` is the legacy pre-batching baseline (FIFO leases, one
-``start()`` + one ``complete()`` RPC per job), ``batched`` the full
-fast path (``schedule="cost"``: the all-cheap batch comes back as one
-pinned bulk lease with zero per-job ``start()`` RPCs, and the worker
-uploads ``complete_many()`` envelopes of 8).  The acceptance bar for
-the transport work is the ratio between the two rows'
-``jobs_per_second``.
+and two local worker processes on the ``batched`` wire shape
+(``schedule="cost"``: the all-cheap batch comes back as one pinned bulk
+lease with zero per-job ``start()`` RPCs, and each worker uploads
+``complete_many()`` batches of up to 8).  ``jobs_per_second`` is the
+row ``diff_bench.py`` tracks.
 
 ``bench_dist_makespan`` measures what cost scheduling is *for*: a
 skewed matrix (one long cell submitted last + many short cells) on a
@@ -43,8 +40,7 @@ LONG_SECONDS = 1.0
 _makespans = {}
 
 
-def _start_fleet(workers, upload_batch, poll_interval=0.005,
-                 schedule="fifo"):
+def _start_fleet(workers, poll_interval=0.005, schedule="fifo"):
     server = BrokerServer(
         port=0, lease_timeout=30.0, schedule=schedule
     ).start_in_thread()
@@ -53,9 +49,7 @@ def _start_fleet(workers, upload_batch, poll_interval=0.005,
         context.Process(
             target=worker_loop,
             args=(server.address,),
-            kwargs=dict(
-                poll_interval=poll_interval, upload_batch=upload_batch
-            ),
+            kwargs=dict(poll_interval=poll_interval),
             daemon=True,
         )
         for _ in range(workers)
@@ -65,25 +59,18 @@ def _start_fleet(workers, upload_batch, poll_interval=0.005,
     return server, procs
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(1, "fifo"), (8, "cost")],
-    ids=["perjob", "batched"],
-)
+@pytest.fixture(scope="module", params=["cost"], ids=["batched"])
 def fleet(request):
-    """A 2-worker fleet in one of the two wire shapes: the legacy
-    per-job RPC baseline, or the batched fast path (pinned bulk
-    leases + ``complete_many`` uploads)."""
-    upload_batch, schedule = request.param
+    """A 2-worker fleet on the batched wire shape (pinned bulk leases
+    + ``complete_many`` uploads)."""
     server, procs = _start_fleet(
-        workers=2, upload_batch=upload_batch, poll_interval=0.002,
-        schedule=schedule,
+        workers=2, poll_interval=0.002, schedule=request.param
     )
     executor = DistExecutor(
         server.address, poll_interval=0.002, timeout=120
     )
     executor.map(echo, [0])  # connect + let the workers spin up
-    yield upload_batch, executor
+    yield executor
     for proc in procs:
         proc.terminate()
     server.stop()
@@ -91,12 +78,11 @@ def fleet(request):
 
 def test_bench_dist_overhead(benchmark, fleet):
     """Round-trips per second of the work-stealing queue (echo jobs)."""
-    upload_batch, executor = fleet
+    executor = fleet
     items = list(range(JOBS_PER_CALL))
     result = benchmark(lambda: executor.map(echo, items))
     assert result == items  # the ordered-merge contract, measured path
     benchmark.extra_info["jobs_per_call"] = JOBS_PER_CALL
-    benchmark.extra_info["upload_batch"] = upload_batch
     benchmark.extra_info["jobs_per_second"] = round(
         JOBS_PER_CALL / benchmark.stats["mean"], 1
     )
@@ -112,7 +98,7 @@ def makespan_fleet():
     rates know the long cell from the shorts — the bench then measures
     scheduling quality, not cold-start learning.
     """
-    server, procs = _start_fleet(workers=4, upload_batch=8)
+    server, procs = _start_fleet(workers=4)
     executor = DistExecutor(
         server.address, poll_interval=0.005, timeout=120
     )

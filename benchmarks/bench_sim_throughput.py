@@ -38,6 +38,15 @@ def _setup(scenario):
     return topology, capacities
 
 
+def _skip_without_kernel(backend):
+    """Skip a lane bench when no compiled mega-batch engine resolves
+    (``simulate_block`` then runs the batched lane, benched above)."""
+    from repro.sim.megabatch import resolve_engine
+
+    if backend == "megabatch" and resolve_engine() is None:
+        pytest.skip("no compiled mega-batch engine (numba or cc)")
+
+
 def _run(topology, capacities, backend):
     """One fixed-seed run returning the monitor (event counts)."""
     if backend == "megabatch":
@@ -65,6 +74,7 @@ def _run(topology, capacities, backend):
 @pytest.mark.parametrize("backend", SIM_BACKENDS)
 def test_simulator_throughput(benchmark, scenario, backend):
     benchmark.group = f"simulator_throughput[{scenario}]"
+    _skip_without_kernel(backend)
     topology, capacities = _setup(scenario)
 
     monitor = benchmark(_run, topology, capacities, backend)
@@ -119,6 +129,7 @@ def test_replication_throughput(benchmark, backend, replications):
     present.
     """
     benchmark.group = f"replication_throughput[netproc,R={replications}]"
+    _skip_without_kernel(backend)
     topology, capacities = _setup("netproc")
 
     monitors = benchmark(

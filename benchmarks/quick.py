@@ -1,17 +1,16 @@
 """Quick perf smoke target: ``python -m benchmarks.quick``.
 
-Runs the simulator/sizing throughput benchmarks (both simulation
-backends, grouped per function so the heap-vs-batched ratio reads off
-the table directly), the compiled-kernel micro-benches, the
-execution-runtime benches (serial vs pooled replications, cold vs warm
-sweeps), the distributed-queue benches
-(``bench_dist_overhead`` per-job vs batched wire transport, and
+Runs the simulator/sizing throughput benchmarks (every simulation
+backend, grouped per scenario so the heap-vs-batched-vs-megabatch
+ratios read off the table directly), the compiled-kernel
+micro-benches, the execution-runtime benches (serial vs pooled
+replications, cold vs warm sweeps), the distributed-queue benches
+(``bench_dist_overhead`` on the batched wire transport, and
 ``bench_dist_makespan`` FIFO vs cost scheduling on a skewed matrix),
-and the observability hot-path bench
-(``bench_obs_overhead``: obs off vs metrics vs tracing) with
-``--benchmark-min-rounds=3`` — a couple
-of minutes, meant
-to run on every PR so perf regressions in the hot paths are visible
+and the observability hot-path benches (``bench_obs_overhead``: obs
+off vs metrics vs tracing, plus the scrape path) with
+``--benchmark-min-rounds=3`` — a couple of minutes, meant to run on
+every PR so perf regressions in the hot paths are visible
 immediately.  ``make bench-quick`` wraps this module; CI passes
 ``--benchmark-json`` through ``BENCH_ARGS`` and uploads the result so
 the ``BENCH_*.json`` perf trajectory accumulates per run.

@@ -167,8 +167,8 @@ def _add_runtime_flags(
         "--sim-jit",
         action="store_true",
         help="prefer the numba-jitted mega-batch kernel when numba is "
-        "importable (sets REPRO_SIM_JIT=1; falls back to the C or "
-        "numpy engine otherwise — never changes any number)",
+        "importable (sets REPRO_SIM_JIT=1; falls back to the C "
+        "engine, else the batched lane — never changes any number)",
     )
     parser.add_argument(
         "--dist",
@@ -482,12 +482,6 @@ def _cmd_dist_worker(args: argparse.Namespace) -> int:
         prefetch=args.prefetch,
         poll_interval=args.poll_interval,
         max_idle=args.max_idle,
-        upload_batch=args.upload_batch,
-        compress_threshold=(
-            int(args.compress_kb * 1024)
-            if args.compress_kb is not None
-            else None
-        ),
     )
     log.info(f"worker exiting after {executed} job(s)")
     return 0
@@ -921,20 +915,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--prefetch", type=int, default=2,
-        help="jobs leased per pull (the surplus is stealable by idle "
-        "peers)",
+        help="jobs leased per lease RPC (the surplus is stealable by "
+        "idle peers)",
     )
     p_worker.add_argument("--poll-interval", type=float, default=0.1)
-    p_worker.add_argument(
-        "--upload-batch", type=int, default=8,
-        help="completions buffered per complete_many() upload RPC "
-        "(1 = legacy one-RPC-per-job wire shape)",
-    )
-    p_worker.add_argument(
-        "--compress-kb", type=float, default=None,
-        help="zlib-compress result envelopes above this size (KiB; "
-        "default: never compress)",
-    )
     p_worker.add_argument(
         "--max-idle", type=float, default=None,
         help="exit after this many seconds without work (default: "

@@ -10,8 +10,8 @@ of worker count, steal order, or worker death mid-job:
 * :mod:`repro.dist.queue` — the broker: a work-stealing job queue over
   TCP (stdlib ``multiprocessing.managers``; no new dependencies) with
   heartbeats, dead-worker reaping, the shared cache store, the
-  ``schedule="fifo"|"cost"`` dispatch policy and the batched/compressed
-  wire transport;
+  ``schedule="fifo"|"cost"`` dispatch policy and its three-call worker
+  protocol (``lease_jobs`` · ``start`` · ``complete_many``);
 * :mod:`repro.dist.costmodel` — :class:`CostModel`, the per-job
   runtime predictor (bench-seeded, EWMA-refined, JSON-persisted)
   behind cost scheduling and adaptive lease sizing;
@@ -43,11 +43,8 @@ from repro.dist.queue import (
     BrokerServer,
     JobFailure,
     JobPayload,
-    WireBlob,
     connect,
     parse_address,
-    wire_pack,
-    wire_unpack,
 )
 from repro.dist.worker import worker_loop
 
@@ -65,13 +62,10 @@ __all__ = [
     "JobFailure",
     "JobPayload",
     "RunJournal",
-    "WireBlob",
     "build_matrix",
     "connect",
     "job_features",
     "parse_address",
     "run_matrix",
-    "wire_pack",
-    "wire_unpack",
     "worker_loop",
 ]

@@ -71,11 +71,10 @@ def job_features(fn: Any, item: Any) -> Dict[str, Any]:
     """Reduce one (job function, payload) pair to scheduler features.
 
     Driver-side companion of the broker's model: the executor extracts
-    features once at submit time (payloads may cross the wire
-    compressed, so the broker never introspects them).  Works for any
-    payload — unknown shapes reduce to ``kind`` plus one work unit,
-    which predicts a flat cost and leaves the (stable) submission
-    order untouched.
+    features once at submit time (the broker never introspects
+    payloads).  Works for any payload — unknown shapes reduce to
+    ``kind`` plus one work unit, which predicts a flat cost and leaves
+    the (stable) submission order untouched.
     """
     kind = getattr(fn, "__name__", None) or str(fn)
     features: Dict[str, Any] = {"kind": kind, "units": 1.0}

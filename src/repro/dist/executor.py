@@ -51,8 +51,6 @@ from repro.dist.queue import (
     JobPayload,
     connect,
     parse_address,
-    wire_pack,
-    wire_unpack,
 )
 from repro.errors import BrokerUnavailableError, ReproError
 from repro.faults import injector as faults
@@ -91,10 +89,6 @@ class DistExecutor:
         configured policy.  Scheduling changes *when* jobs run, never
         what :meth:`map` returns — the merge is by submission index
         either way.
-    compress_threshold:
-        When set, payload items whose pickle is at least this many
-        bytes ship as zlib wire envelopes (workers apply the same
-        threshold to results); ``None`` (default) disables.
     timeout:
         Optional overall bound per :meth:`map` call; ``None`` waits as
         long as live workers exist (long fleet runs legitimately take
@@ -133,7 +127,6 @@ class DistExecutor:
         on_broker_loss: str = "fallback",
         fallback_jobs: Optional[int] = None,
         schedule: Optional[str] = None,
-        compress_threshold: Optional[int] = None,
         poll_max: Optional[float] = None,
     ) -> None:
         if on_broker_loss not in ("fallback", "fail"):
@@ -155,7 +148,6 @@ class DistExecutor:
             else max(0.5, self.poll_interval)
         )
         self.schedule = schedule
-        self.compress_threshold = compress_threshold
         self.timeout = timeout
         self.no_worker_grace = float(no_worker_grace)
         self.retry = retry
@@ -318,13 +310,10 @@ class DistExecutor:
         completed prefix grows.
         """
         item_list = list(items)
-        # Scheduler features come from the *raw* items (the broker
-        # never unpacks a compressed payload), packing after.
+        # The broker never introspects payloads, so the scheduler's
+        # features are extracted here.
         features = [job_features(fn, item) for item in item_list]
-        payloads = [
-            JobPayload(fn, wire_pack(item, self.compress_threshold))
-            for item in item_list
-        ]
+        payloads = [JobPayload(fn, item) for item in item_list]
         if not payloads:
             return []
         results: List[Any] = []
@@ -384,7 +373,6 @@ class DistExecutor:
                     "result fetch", _fetch, none_is_loss=True
                 )
                 for result in ready:
-                    result = wire_unpack(result)
                     if isinstance(result, JobFailure):
                         raise ReproError(
                             f"distributed job {len(results)} failed: "
@@ -484,9 +472,7 @@ class DistExecutor:
 
         tail = parallel_map(
             fn,
-            # Items may sit in compressed wire envelopes; the local
-            # pool wants the originals back.
-            [wire_unpack(payload.item) for payload in payloads[done:]],
+            [payload.item for payload in payloads[done:]],
             jobs=self.fallback_jobs,
             on_result=_shifted,
         )

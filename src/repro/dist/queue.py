@@ -12,29 +12,27 @@ Queue semantics
   are stored per index, so the driver's merge is by submission order no
   matter which worker computed what (the determinism contract of
   :mod:`repro.exec.pool`, extended across hosts).
-* **pull** — workers lease up to ``max_jobs`` payloads.  Leases over
-  the central queue make prefetched-but-unstarted jobs *stealable*: an
-  idle worker whose pull finds the queue empty steals an unstarted
-  lease from the most-loaded worker instead of idling.
-  :meth:`Broker.lease_jobs` is the cost-aware superset: under
-  ``schedule="cost"`` the broker *sizes* the lease from predicted
+* **lease_jobs** — workers lease up to ``max_jobs`` payloads.  Leases
+  over the central queue make prefetched-but-unstarted jobs
+  *stealable*: an idle worker whose lease finds the queue empty steals
+  an unstarted lease from the most-loaded worker instead of idling.
+  Under ``schedule="cost"`` the broker *sizes* the lease from predicted
   runtimes (enough work to amortise the RPC, little enough that steals
   stay cheap) and may *pin* an all-cheap lease — pre-marking its jobs
   started so the worker skips the per-job ``start()`` round-trips (a
   reaped pinned lease is re-enqueued like any other; duplicate
-  completions were already idempotent).
+  completions are idempotent).
 * **start** — a worker announces it is about to execute a leased job.
   ``False`` means the job was stolen or reassigned in the meantime; the
   worker just skips it (the thief runs it), so no job ever runs twice
   because of a steal.
-* **complete** — stores the result and clears the lease.  Duplicate
-  completions (a presumed-dead worker that was merely slow) are
-  ignored; jobs are pure, so whichever result landed first is the same
-  bits.  :meth:`Broker.complete_many` is the batched form: workers
-  buffer finished jobs and upload them in one RPC, cutting the per-job
-  round-trip count without changing what is stored (each element lands
-  through the same idempotent path).  Completions carry the worker's
-  measured runtime, which feeds the scheduler's cost model.
+* **complete_many** — stores a batch of results and clears their
+  leases.  Workers buffer finished jobs and upload them in one RPC.
+  Duplicate completions (a presumed-dead worker that was merely slow,
+  or an upload replayed after a reconnect) are ignored; jobs are pure,
+  so whichever result landed first is the same bits.  Completions
+  carry the worker's measured runtime, which feeds the scheduler's
+  cost model.
 * **heartbeat / reaping** — workers beat while executing; any worker
   whose last beat is older than ``lease_timeout`` is reaped and its
   incomplete leases re-enqueued at the *front* of the queue (oldest
@@ -53,12 +51,10 @@ clock, so multi-host fleets need no cross-host clock agreement.
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import struct
 import threading
 import time
-import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from multiprocessing.managers import BaseManager, Server
@@ -92,57 +88,17 @@ DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 DEFAULT_HISTORY_CAPACITY = 512
 
 #: Predicted seconds of work one cost-sized lease aims to hand out:
-#: several poll intervals' worth (so a worker rarely pulls twice per
+#: several poll intervals' worth (so a worker rarely leases twice per
 #: second of work) yet small enough that a reaped or stolen lease
 #: forfeits well under a second of predicted compute.
 DEFAULT_LEASE_TARGET = 0.5
 
 #: Hard cap on jobs per cost-sized lease, whatever the predictions say
-#: — bounds both the pull RPC's payload bytes and the work a dead
+#: — bounds both the lease RPC's payload bytes and the work a dead
 #: worker's reap re-enqueues.
 LEASE_MAX_JOBS = 32
 
 JobId = Tuple[str, int]
-
-
-@dataclass(frozen=True)
-class WireBlob:
-    """An opaque compressed envelope for large payloads or results.
-
-    ``data`` is a one-byte tag followed by the body: ``b"z"`` marks a
-    zlib-compressed pickle.  Blobs are packed by whichever side owns
-    the object (driver for payload items, worker for results) and
-    unpacked by the consumer; the broker stores them untouched, so
-    compression changes bytes on the wire, never bytes in a result.
-    """
-
-    data: bytes
-
-
-def wire_pack(obj: Any, threshold: Optional[int]) -> Any:
-    """Envelope ``obj`` if its pickle is at least ``threshold`` bytes.
-
-    ``threshold=None`` (the default everywhere) disables compression:
-    the object passes through untouched and costs nothing.  Below the
-    threshold the original object is returned too — small messages are
-    cheaper to pickle directly than to compress.
-    """
-    if threshold is None or isinstance(obj, WireBlob):
-        return obj
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) < threshold:
-        return obj
-    return WireBlob(b"z" + zlib.compress(blob))
-
-
-def wire_unpack(obj: Any) -> Any:
-    """Undo :func:`wire_pack` (non-envelopes pass through untouched)."""
-    if not isinstance(obj, WireBlob):
-        return obj
-    tag, body = obj.data[:1], obj.data[1:]
-    if tag != b"z":
-        raise ReproError(f"unknown wire envelope tag {tag!r}")
-    return pickle.loads(zlib.decompress(body))
 
 
 def parse_address(address) -> Tuple[str, int]:
@@ -337,8 +293,8 @@ class Broker:
         """Register one ordered batch of jobs; returns the batch size.
 
         ``features`` (parallel to ``payloads``) are the driver-extracted
-        scheduler features — the broker never introspects payloads,
-        which may cross the wire compressed.  ``schedule`` overrides
+        scheduler features — the broker never introspects payloads.
+        ``schedule`` overrides
         the broker's default policy for this batch; under ``"cost"``
         the batch is *enqueued* longest-predicted-first (LPT), while
         job ids, result indices and the driver's merge order stay the
@@ -375,38 +331,19 @@ class Broker:
                 self._pending.append(job_id)
             return len(payloads)
 
-    def pull(
-        self, worker_id: str, max_jobs: int = 1
-    ) -> List[Tuple[JobId, JobPayload]]:
-        """Lease up to ``max_jobs`` jobs to one worker (steals if idle)."""
-        with self._lock:
-            self._beat(worker_id)
-            self._reap()
-            granted: List[Tuple[JobId, JobPayload]] = []
-            while len(granted) < max_jobs and self._pending:
-                job_id = self._pending.popleft()
-                if job_id not in self._payloads or job_id in self._leases:
-                    continue  # dropped batch / duplicate re-enqueue
-                self._leases[job_id] = worker_id
-                granted.append((job_id, self._payloads[job_id]))
-            if not granted:
-                stolen = self._steal_for(worker_id)
-                if stolen is not None:
-                    granted.append(stolen)
-            return granted
-
     def lease_jobs(
         self, worker_id: str, max_jobs: int = 1
     ) -> Dict[str, Any]:
-        """Cost-aware lease: the broker sizes it, and may pin it.
+        """Lease jobs to one worker (steals if idle); may size and pin.
 
         Returns ``{"jobs": [(job_id, payload), ...], "pinned": bool}``.
-        For plain FIFO jobs this grants at most ``max_jobs`` — exactly
-        :meth:`pull`.  Jobs carrying a cost prediction are instead
-        granted until their predicted runtimes sum past
-        ``lease_target`` (or :data:`LEASE_MAX_JOBS`): long jobs lease
-        alone, cheap jobs lease in bulk, and either way one pull RPC
-        hands out ≈``lease_target`` seconds of work.
+        For plain FIFO jobs this grants at most ``max_jobs``; when the
+        queue is empty it steals one unstarted job from the most-loaded
+        worker instead.  Jobs carrying a cost prediction are granted
+        until their predicted runtimes sum past ``lease_target`` (or
+        :data:`LEASE_MAX_JOBS`): long jobs lease alone, cheap jobs
+        lease in bulk, and either way one lease RPC hands out
+        ≈``lease_target`` seconds of work.
 
         A lease whose jobs are all predicted-cheap (total ≤
         ``lease_target``) comes back **pinned**: the broker marks the
@@ -476,7 +413,7 @@ class Broker:
         if not by_victim:
             return None
         victim = max(by_victim, key=lambda w: len(by_victim[w]))
-        # Steal the tail of the victim's lease (its last-pulled job):
+        # Steal the tail of the victim's lease (its last-leased job):
         # the victim works its lease front to back, so the tail is the
         # job it would reach last — the least likely to race a start().
         job_id = max(by_victim[victim])
@@ -489,7 +426,7 @@ class Broker:
 
         Refreshes liveness but never *registers*: a reaped worker
         announcing a stale job must not resurrect as a phantom (see
-        :meth:`complete`).
+        :meth:`complete_many`).
         """
         with self._lock:
             self._beat(worker_id, register=False)
@@ -500,36 +437,6 @@ class Broker:
             self._started_at.setdefault(job_id, self._clock())
             return True
 
-    def complete(
-        self,
-        worker_id: str,
-        job_id: JobId,
-        result: Any,
-        metrics: Optional[Dict[str, Any]] = None,
-        runtime: Optional[float] = None,
-    ) -> None:
-        """Store one job's result (idempotent across duplicate runs).
-
-        A worker reaped mid-result-upload lands here *after* its jobs
-        were re-enqueued: the late completion must neither resurrect
-        the reaped worker (``register=False`` — a phantom in
-        ``_workers`` would inflate the live-worker count the driver's
-        no-progress guard reads, and be "reaped" again next cycle) nor
-        double-count — the first result for an index wins and
-        increments ``completed`` exactly once; every duplicate returns
-        before any counter.  The worker re-registers honestly on its
-        next ``pull``.
-
-        ``runtime`` is the worker's measured wall time for the job; it
-        (or, failing that, the broker-clock ``start``→``complete``
-        span) trains the scheduler's cost model.
-        """
-        with self._lock:
-            self._beat(worker_id, register=False)
-            if metrics is not None:
-                self._merge_worker_metrics(worker_id, metrics)
-            self._complete_locked(job_id, result, runtime)
-
     def complete_many(
         self,
         worker_id: str,
@@ -538,12 +445,25 @@ class Broker:
     ) -> None:
         """Store a worker's buffered ``(job_id, result, runtime)`` batch.
 
-        One RPC replaces N ``complete()`` round-trips; each element
-        lands through the same idempotent per-job path, so a batch
-        replayed after a reconnect (the worker cannot know whether the
-        first upload landed before the connection died) stores nothing
-        twice.  Partial novelty is fine too: the duplicate elements
-        no-op, the new ones land.
+        Each element lands through the same idempotent per-job path, so
+        a batch replayed after a reconnect (the worker cannot know
+        whether the first upload landed before the connection died)
+        stores nothing twice.  Partial novelty is fine too: the
+        duplicate elements no-op, the new ones land.
+
+        A worker reaped mid-upload lands here *after* its jobs were
+        re-enqueued: the late completion must neither resurrect the
+        reaped worker (``register=False`` — a phantom in ``_workers``
+        would inflate the live-worker count the driver's no-progress
+        guard reads, and be "reaped" again next cycle) nor
+        double-count — the first result for an index wins and
+        increments ``completed`` exactly once; every duplicate returns
+        before any counter.  The worker re-registers honestly on its
+        next lease.
+
+        ``runtime`` is the worker's measured wall time for the job; it
+        (or, failing that, the broker-clock ``start``→completion span)
+        trains the scheduler's cost model.
         """
         with self._lock:
             self._beat(worker_id, register=False)
@@ -799,7 +719,7 @@ class Broker:
 
     def _beat(self, worker_id: str, register: bool = True) -> None:
         """Record liveness.  ``register=False`` only refreshes workers
-        already known — reaped workers stay reaped until they pull."""
+        already known — reaped workers stay reaped until they lease."""
         if register or worker_id in self._workers:
             self._workers[worker_id] = self._clock()
             record = self._worker_metrics.get(worker_id)
@@ -816,7 +736,7 @@ class Broker:
         successful ship — see ``_MetricsShipper``); gauges overwrite.
         A reaped worker shipping a late delta still lands — its work
         happened — but stays marked dead until it re-registers via
-        ``pull``.
+        ``lease_jobs``.
         """
         record = self._worker_metrics.get(worker_id)
         if record is None:

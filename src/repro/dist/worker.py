@@ -10,10 +10,10 @@ arrive pre-started and skip the announcement round-trip entirely), and
 ships results (or a :class:`~repro.dist.queue.JobFailure` wrapping the
 exception, with its text bounded by
 :func:`~repro.dist.queue.truncate_failure_text`) back in batched
-``complete_many`` uploads of up to ``upload_batch`` finished jobs —
-one RPC instead of N, flushed at every lease boundary so results never
-wait on future work.  Each completion carries the job's measured wall
-time, which trains the broker's cost model.  Because completions are
+``complete_many`` uploads of up to :data:`UPLOAD_BATCH` finished jobs
+— one RPC instead of N, flushed at every lease boundary so results
+never wait on future work.  Each completion carries the job's
+measured wall time, which trains the broker's cost model.  Because completions are
 idempotent broker-side, a flush interrupted by a torn connection is
 simply replayed after the reconnect.
 
@@ -24,7 +24,7 @@ beating and the broker re-enqueues its leases after ``lease_timeout``.
 
 Self-healing: connects run under the unified
 :class:`~repro.retry.RetryPolicy`, a heartbeat thread that died (torn
-connection) is restarted on the next pull, and a torn *main*
+connection) is restarted on the next lease, and a torn *main*
 connection triggers a reconnect attempt before the worker gives up —
 so a broker restart stalls a worker instead of killing it.  Fault
 plans (:mod:`repro.faults`) inject at the ``worker.execute`` and
@@ -63,12 +63,15 @@ from repro.dist.queue import (
     connect,
     parse_address,
     truncate_failure_text,
-    wire_pack,
-    wire_unpack,
 )
 from repro.exec.cache import ResultCache
 
 __all__ = ["default_worker_id", "worker_loop"]
+
+#: Finished jobs buffered per ``complete_many`` upload.  The buffer also
+#: flushes at every lease boundary, so a result waits on at most the
+#: jobs of its own lease, never on future work.
+UPLOAD_BATCH = 8
 
 #: Connection errors meaning "the broker went away" — a worker treats
 #: them as a reconnect signal first and a shutdown signal second.
@@ -90,10 +93,7 @@ def _execute(payload: JobPayload, max_failure_text: int = MAX_FAILURE_TEXT):
     bloat the broker's result store or the driver's logs.
     """
     try:
-        # Large payload items may arrive as compressed wire envelopes
-        # (the driver packs above its threshold); plain items pass
-        # through untouched.
-        return payload.fn(wire_unpack(payload.item))
+        return payload.fn(payload.item)
     except Exception as exc:
         return JobFailure(
             error=truncate_failure_text(repr(exc), max_failure_text),
@@ -193,8 +193,6 @@ def worker_loop(
     worker_id: Optional[str] = None,
     retry: RetryPolicy = DEFAULT_RETRY,
     max_failure_text: int = MAX_FAILURE_TEXT,
-    upload_batch: int = 8,
-    compress_threshold: Optional[int] = None,
 ) -> int:
     """Serve jobs from the broker at ``address`` until told to stop.
 
@@ -206,33 +204,32 @@ def worker_loop(
         Optional local disk tier under the shared cache (a worker
         without one still reads/writes the broker's shared store).
     prefetch:
-        Jobs requested per lease; the surplus beyond the one executing
-        is the stealable margin.  Under cost scheduling the broker may
-        resize the grant (see ``Broker.lease_jobs``).
+        Jobs requested per lease (``>= 1``); the surplus beyond the
+        one executing is the stealable margin.  Under cost scheduling
+        the broker may resize the grant (see ``Broker.lease_jobs``).
     poll_interval:
-        Sleep between empty pulls.
+        Sleep between empty leases (``> 0``).
     max_idle:
         Exit after this many consecutive seconds without work
-        (``None`` = serve forever); the number of jobs executed is
-        returned.
+        (``>= 0``; ``None`` = serve forever); the number of jobs
+        executed is returned.
     retry:
         Backoff policy for broker connects and reconnects (a broker
         restart is survivable; a permanently dead broker ends the
         loop cleanly).
     max_failure_text:
         Per-field bound on shipped :class:`JobFailure` text.
-    upload_batch:
-        Finished jobs buffered per ``complete_many`` upload; the
-        buffer also flushes at every lease boundary, so a result
-        waits on at most the jobs of its own lease, never on future
-        work.  ``1`` restores the one-``complete()``-per-job wire
-        behaviour (the PR 8 baseline, kept for comparison benches).
-    compress_threshold:
-        When set, results whose pickle is at least this many bytes
-        ship as zlib wire envelopes (``None`` disables — the
-        default; compression trades driver/worker CPU for wire
-        bytes, a win only on real networks with large results).
     """
+    # Validate before connecting: a bad value must fail fast, not on
+    # the first idle poll against a live broker.
+    if prefetch < 1:
+        raise ReproError(f"prefetch must be >= 1, got {prefetch}")
+    if not poll_interval > 0:
+        raise ReproError(
+            f"poll_interval must be > 0, got {poll_interval}"
+        )
+    if max_idle is not None and not max_idle >= 0:
+        raise ReproError(f"max_idle must be >= 0, got {max_idle}")
     faults.install_from_env()
     obs.install_from_env()
     address = parse_address(address)
@@ -295,20 +292,8 @@ def worker_loop(
     outbox: list = []
 
     def _flush() -> None:
-        """Upload every buffered completion (one RPC when batching)."""
+        """Upload every buffered completion in one RPC."""
         if not outbox:
-            return
-        if upload_batch <= 1:
-            # Legacy wire shape: one complete() per job.  Pop as we
-            # go so a mid-flush disconnect replays only the remainder.
-            while outbox:
-                job_id, result, runtime = outbox[0]
-                shipper.ship(
-                    lambda env: broker.complete(
-                        worker_id, job_id, result, env, runtime
-                    )
-                )
-                outbox.pop(0)
             return
         batch = list(outbox)
         shipper.ship(
@@ -359,7 +344,7 @@ def worker_loop(
             idle_since = None
             for job_id, payload in leased:
                 try:
-                    # Pinned leases were marked started at pull time —
+                    # Pinned leases were marked started at lease time —
                     # the broker already guarantees nobody steals them,
                     # so the per-job announcement round-trip is skipped.
                     if not pinned and not broker.start(worker_id, job_id):
@@ -378,15 +363,13 @@ def worker_loop(
                     c_jobs.inc()
                     if isinstance(result, JobFailure):
                         c_failed.inc()
-                    else:
-                        result = wire_pack(result, compress_threshold)
                     # Buffered upload: the flush RPC carries the
                     # metric delta too, so a worker that dies right
                     # after its last flush has already shipped those
                     # jobs' counters.
                     outbox.append((job_id, result, runtime))
                     executed += 1
-                    if len(outbox) >= max(upload_batch, 1):
+                    if len(outbox) >= UPLOAD_BATCH:
                         _flush()
                 except _BROKER_GONE:
                     if not _reconnect():

@@ -6,9 +6,9 @@ transliteration as an embedded source string, compiles it once with
 whatever system C compiler is present (``$CC``, else ``cc``/``gcc``/
 ``clang`` on PATH), caches the shared object under a content hash, and
 exposes it through :mod:`ctypes`.  No compiler, a failed build, or
-``REPRO_SIM_CC=0`` all degrade silently to ``None`` — the lane then
-falls back to the numpy lockstep engine, so the C path is a pure
-speedup, never a dependency.
+``REPRO_SIM_CC=0`` all degrade silently to ``None`` — without numba,
+:func:`repro.sim.runner.simulate_block` then runs the per-seed batched
+lane, so the C path is a pure speedup, never a dependency.
 
 Bitwise contract: the kernel is compiled with ``-ffp-contract=off`` so
 no multiply-add is fused, and every float expression mirrors the
@@ -374,12 +374,12 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             lib.mb_advance.argtypes = [ctypes.POINTER(MBState), _F64]
             lib.mb_advance.restype = _I64
             _cached = lib
-        except Exception as exc:  # degrade to the numpy engine
+        except Exception as exc:  # degrade to the batched lane
             if not _warned:
                 _warned = True
                 warnings.warn(
                     f"mega-batch C kernel unavailable ({exc}); "
-                    "falling back to the numpy engine",
+                    "falling back to the batched lane",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -25,20 +25,20 @@ batched lane ``R`` times:
 
 Three interchangeable engines execute the same kernel — ``numba``
 (``REPRO_SIM_JIT=1``, only when numba is importable), ``cc`` (the
-:mod:`repro.sim._mbcc` C build, default when a system compiler exists),
-``numpy`` (the :mod:`repro.sim._mblockstep` lockstep fallback) — plus
-``python``, the interpreted scalar kernel kept as the correctness
+:mod:`repro.sim._mbcc` C build, default when a system compiler exists)
+and ``python``, the interpreted scalar kernel kept as the correctness
 oracle.  ``REPRO_SIM_ENGINE`` forces one explicitly.  The engine choice
 never affects results (bitwise, test-enforced) and is therefore *not*
 part of scenario cache keys; the backend is.
 
-The lane only takes the kernel path for configurations it can replay
-exactly: deterministic arbiters (:data:`~repro.sim.arbiter
-.KERNEL_ARBITERS`) and stateless traffic descriptors
-(:attr:`~repro.arch.traffic.TrafficDescriptor.stateless_sampling`).
-:func:`megabatch_supported` is the gate; unsupported cells fall back to
-sequential per-replication ``backend="batched"`` runs in
-:func:`repro.sim.runner.simulate_block`.
+The lane only takes the kernel path when a compiled engine resolves
+and the configuration can be replayed exactly: deterministic arbiters
+(:data:`~repro.sim.arbiter.KERNEL_ARBITERS`) and stateless traffic
+descriptors (:attr:`~repro.arch.traffic.TrafficDescriptor
+.stateless_sampling`).  :func:`megabatch_supported` is the gate; when
+it fails, or when :func:`resolve_engine` finds no compiled engine,
+:func:`repro.sim.runner.simulate_block` runs sequential
+per-replication ``backend="batched"`` simulations instead.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ GAP_CHUNKS = 4
 SVC_DEPTH = 2048
 
 #: Engine names accepted by :func:`resolve_engine` / REPRO_SIM_ENGINE.
-ENGINES = ("numba", "cc", "numpy", "python")
+ENGINES = ("numba", "cc", "python")
 
 _numba_advance = None
 _numba_failed = False
@@ -100,19 +100,20 @@ def available_engines() -> Dict[str, bool]:
     return {
         "numba": _load_numba() is not None,
         "cc": _mbcc.load_kernel() is not None,
-        "numpy": True,
         "python": True,
     }
 
 
-def resolve_engine(requested: Optional[str] = None) -> str:
-    """Pick the kernel engine.
+def resolve_engine(requested: Optional[str] = None) -> Optional[str]:
+    """Pick the kernel engine, or ``None`` when no compiled one exists.
 
     Priority: explicit ``requested`` > ``REPRO_SIM_ENGINE`` >
     ``REPRO_SIM_JIT=1`` (numba when importable) > the C build when a
-    system compiler exists > numpy.  Forcing an unavailable engine
-    raises :class:`SimulationError`; the automatic path only ever
-    degrades.
+    system compiler exists.  Forcing an unavailable engine raises
+    :class:`SimulationError`; the automatic path returns ``None`` when
+    neither compiled engine resolves, and the caller then runs the
+    per-seed batched lane (the interpreted kernel is never picked
+    automatically — it is the test oracle, not a fallback).
     """
     name = requested or os.environ.get("REPRO_SIM_ENGINE") or ""
     if name:
@@ -136,7 +137,7 @@ def resolve_engine(requested: Optional[str] = None) -> str:
         return "numba"
     if _mbcc.load_kernel() is not None:
         return "cc"
-    return "numpy"
+    return None
 
 
 def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
@@ -187,6 +188,11 @@ class MegaBatchLane:
                 f"({KERNEL_ARBITERS}) and stateless traffic descriptors"
             )
         self.engine = resolve_engine(engine)
+        if self.engine is None:
+            raise SimulationError(
+                "no compiled mega-batch engine is available (numba or "
+                "cc); pass engine='python' for the interpreted kernel"
+            )
         self.seeds = [int(s) for s in seeds]
         R = len(self.seeds)
         self.R = R
@@ -236,14 +242,12 @@ class MegaBatchLane:
         if int(cl_off[-1]) != G:
             raise SimulationError("cluster ring spans do not cover all rings")
         self.cl_off = cl_off
-        self.cl_width = np.diff(cl_off)
         arb = np.asarray(ref._arb_kind, dtype=np.int64)
         if arb.size and (arb.min() != arb.max()):
             raise SimulationError(
                 "mega-batch kernel requires one arbiter policy per cell"
             )
         self.arb_kind = arb
-        self.arb_tag = int(arb[0]) if arb.size else 0
 
         Hmax = max(len(bufs) for bufs in ref._flow_bufs)
         self.Hmax = Hmax
@@ -296,9 +300,6 @@ class MegaBatchLane:
         self.wait_cnt = np.zeros(R, dtype=np.int64)
         self.e2e_sum = np.zeros(R)
         self.paused = np.zeros(R, dtype=np.int64)
-        self._cols = np.arange(int(self.cl_width.max()) if B else 1)[
-            None, :
-        ]
 
         # -- per-replication RNG streams: the exact CommunicationSystem
         # layout — SeedSequence(seed).spawn(B + S), bus streams first,
@@ -348,7 +349,7 @@ class MegaBatchLane:
             )
             timeout = self.timeout
             self._advance = lambda end: int(fn(end, timeout, *kargs))
-        elif self.engine == "cc":
+        else:  # cc
             lib = _mbcc.load_kernel()
             st = _mbcc.MBState()
             st.R, st.S, st.B, st.G, st.P = (
@@ -381,10 +382,6 @@ class MegaBatchLane:
 
             ref = ctypes.byref(st)
             self._advance = lambda end: int(lib.mb_advance(ref, end))
-        else:  # numpy lockstep
-            from repro.sim import _mblockstep
-
-            self._advance = lambda end: _mblockstep.advance(self, end)
 
     # ------------------------------------------------------------------
 

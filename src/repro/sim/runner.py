@@ -198,8 +198,9 @@ def simulate_block(
     seed order and are bitwise identical to running
     ``simulate(..., backend="batched")`` per seed — configurations the
     kernel cannot replay exactly (randomised arbiters, stateful traffic
-    descriptors) take exactly that per-seed path as a fallback, so the
-    equality is universal.  ``engine`` forces a kernel engine (see
+    descriptors), and hosts where no compiled engine resolves, take
+    exactly that per-seed path instead, so the equality is universal.
+    ``engine`` forces a kernel engine (see
     :func:`repro.sim.megabatch.resolve_engine`).
     """
     if warmup < 0:
@@ -207,9 +208,14 @@ def simulate_block(
     seed_list = [int(s) for s in seeds]
     if not seed_list:
         raise SimulationError("simulate_block needs at least one seed")
-    from repro.sim.megabatch import MegaBatchLane, megabatch_supported
+    from repro.sim.megabatch import (
+        MegaBatchLane,
+        megabatch_supported,
+        resolve_engine,
+    )
 
-    if not megabatch_supported(topology, arbiter_kind):
+    engine = resolve_engine(engine)
+    if engine is None or not megabatch_supported(topology, arbiter_kind):
         return [
             simulate(
                 topology,

@@ -86,6 +86,16 @@ class _FakeClock:
         self.now += dt
 
 
+def _lease(broker, worker_id, max_jobs=1):
+    """The jobs of one ``lease_jobs`` grant."""
+    return broker.lease_jobs(worker_id, max_jobs=max_jobs)["jobs"]
+
+
+def _complete(broker, worker_id, job_id, result, runtime=None):
+    """Upload one completion through ``complete_many``."""
+    broker.complete_many(worker_id, [(job_id, result, runtime)])
+
+
 def _start_worker(address, **kwargs):
     kwargs.setdefault("poll_interval", 0.02)
     process = _FORK.Process(
@@ -121,34 +131,34 @@ class TestBrokerProtocol:
     def test_submit_pull_complete_roundtrip(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.pull("w1", max_jobs=3)
+        leased = _lease(broker, "w1", max_jobs=3)
         assert [job_id for job_id, _ in leased] == [
             ("b", 0), ("b", 1), ("b", 2)
         ]
         for job_id, payload in leased:
             assert broker.start("w1", job_id)
-            broker.complete("w1", job_id, payload.fn(payload.item))
+            _complete(broker, "w1", job_id, payload.fn(payload.item))
         assert broker.fetch_ready("b", 0) == [0, 1, 2]
         assert broker.batch_status("b") == (3, 3)
 
     def test_fetch_ready_is_contiguous_prefix(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.pull("w1", max_jobs=3)
+        leased = _lease(broker, "w1", max_jobs=3)
         # Complete out of order: index 2 first.
         broker.start("w1", leased[2][0])
-        broker.complete("w1", leased[2][0], 2)
+        _complete(broker, "w1", leased[2][0], 2)
         assert broker.fetch_ready("b", 0) == []
         broker.start("w1", leased[0][0])
-        broker.complete("w1", leased[0][0], 0)
+        _complete(broker, "w1", leased[0][0], 0)
         assert broker.fetch_ready("b", 0) == [0]
 
     def test_idle_worker_steals_unstarted_lease(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(4)])
-        leased = broker.pull("w1", max_jobs=4)
+        leased = _lease(broker, "w1", max_jobs=4)
         assert len(leased) == 4
-        stolen = broker.pull("w2", max_jobs=1)
+        stolen = _lease(broker, "w2", max_jobs=1)
         # The tail of the victim's lease is stolen — the job w1 would
         # reach last.
         assert [job_id for job_id, _ in stolen] == [("b", 3)]
@@ -161,18 +171,18 @@ class TestBrokerProtocol:
     def test_started_jobs_are_not_stealable(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = broker.pull("w1", max_jobs=1)
+        (job_id, _), = _lease(broker, "w1", max_jobs=1)
         assert broker.start("w1", job_id)
-        assert broker.pull("w2", max_jobs=1) == []
+        assert _lease(broker, "w2", max_jobs=1) == []
 
     def test_dead_worker_jobs_reenqueued_in_index_order(self):
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        leased = broker.pull("w1", max_jobs=2)
+        leased = _lease(broker, "w1", max_jobs=2)
         assert broker.start("w1", leased[0][0])  # dies mid-execution
         clock.advance(1.5)
-        granted = broker.pull("w2", max_jobs=3)
+        granted = _lease(broker, "w2", max_jobs=3)
         # Both of w1's leases (started or not) come back, at the front
         # of the queue and in index order, ahead of the never-leased
         # job 2.
@@ -186,25 +196,25 @@ class TestBrokerProtocol:
         clock = _FakeClock()
         broker = Broker(lease_timeout=1.0, clock=clock)
         broker.submit("b", [JobPayload(echo, 0)])
-        (job_id, _), = broker.pull("w1", max_jobs=1)
+        (job_id, _), = _lease(broker, "w1", max_jobs=1)
         broker.start("w1", job_id)
         clock.advance(1.5)  # w1 presumed dead
-        (rejob, _), = broker.pull("w2", max_jobs=1)
+        (rejob, _), = _lease(broker, "w2", max_jobs=1)
         assert rejob == job_id
-        broker.complete("w2", job_id, "w2-result")
+        _complete(broker, "w2", job_id, "w2-result")
         # The slow-but-alive w1 finishes too; jobs are pure so both
         # results are the same bits — first one in wins, harmlessly.
-        broker.complete("w1", job_id, "w1-result")
+        _complete(broker, "w1", job_id, "w1-result")
         assert broker.fetch_ready("b", 0) == ["w2-result"]
 
     def test_drop_batch_forgets_everything(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
-        broker.pull("w1", max_jobs=1)
+        _lease(broker, "w1", max_jobs=1)
         broker.drop_batch("b")
         with pytest.raises(ReproError):
             broker.batch_status("b")
-        assert broker.pull("w1", max_jobs=3) == []
+        assert _lease(broker, "w1", max_jobs=3) == []
 
     def test_duplicate_batch_id_rejected(self):
         broker = Broker(lease_timeout=10.0)
@@ -674,7 +684,7 @@ class TestDriverDeathAndStalls:
         # Any traffic triggers the reap; the dead driver's batch (jobs,
         # results, bookkeeping) is gone and workers get nothing to burn
         # CPU on.
-        assert broker.pull("w1", max_jobs=3) == []
+        assert _lease(broker, "w1", max_jobs=3) == []
         assert broker.stats()["dropped_batches"] == 1
         assert broker.stats()["batches"] == 0
         with pytest.raises(ReproError):
@@ -944,7 +954,7 @@ class TestReaperIdempotence:
 
     def _lease_one(self, broker):
         broker.submit("b", [JobPayload(echo, 1)])
-        granted = broker.pull("stalled-worker", max_jobs=1)
+        granted = _lease(broker, "stalled-worker", max_jobs=1)
         assert len(granted) == 1
         job_id = granted[0][0]
         assert broker.start("stalled-worker", job_id)
@@ -965,15 +975,15 @@ class TestReaperIdempotence:
         # The stalled worker was killed mid-upload — its completion
         # lands late.  It must store the result exactly once and must
         # NOT re-register the reaped worker as live.
-        broker.complete("stalled-worker", job_id, "late-result")
+        _complete(broker, "stalled-worker", job_id, "late-result")
         stats = broker.stats()
         assert stats["completed"] == 1
         assert stats["workers"] == 0  # no phantom resurrection
-        # The re-enqueued copy is now moot: a second worker pulling it
+        # The re-enqueued copy is now moot: a second worker leasing it
         # gets nothing (the payload is settled), and its own late
         # "completion" of the same job is ignored.
-        assert broker.pull("healthy-worker", max_jobs=4) == []
-        broker.complete("healthy-worker", job_id, "duplicate-result")
+        assert _lease(broker, "healthy-worker", max_jobs=4) == []
+        _complete(broker, "healthy-worker", job_id, "duplicate-result")
         stats = broker.stats()
         assert stats["completed"] == 1  # not double-counted
         assert stats["steals"] == 0
@@ -992,8 +1002,8 @@ class TestReaperIdempotence:
         assert broker.stats()["workers"] == 0
         # start() on a reaped lease refuses (the job was re-enqueued)
         # and does not resurrect either.
-        granted = broker.pull("stalled-worker", max_jobs=1)
-        assert len(granted) == 1  # honest re-registration via pull
+        granted = _lease(broker, "stalled-worker", max_jobs=1)
+        assert len(granted) == 1  # honest re-registration via lease
         assert broker.stats()["workers"] == 1
 
 
@@ -1053,6 +1063,16 @@ class TestCostScheduling:
         return broker
 
     @staticmethod
+    def _dispatch_order(broker):
+        """Job indices in the order successive leases hand them out."""
+        order = []
+        while True:
+            jobs = _lease(broker, "w")
+            if not jobs:
+                return order
+            order += [job_id[1] for job_id, _ in jobs]
+
+    @staticmethod
     def _features(units_list):
         return [{"kind": "echo", "units": float(u)} for u in units_list]
 
@@ -1065,9 +1085,7 @@ class TestCostScheduling:
             features=self._features(units),
             schedule="cost",
         )
-        order = [
-            broker.pull("w", max_jobs=1)[0][0][1] for _ in range(4)
-        ]
+        order = self._dispatch_order(broker)
         assert order == [1, 3, 2, 0]  # indices by descending units
 
     def test_cold_start_cost_order_equals_fifo(self):
@@ -1080,9 +1098,7 @@ class TestCostScheduling:
             features=self._features([1, 1, 1, 1, 1]),
             schedule="cost",
         )
-        order = [
-            broker.pull("w", max_jobs=1)[0][0][1] for _ in range(5)
-        ]
+        order = self._dispatch_order(broker)
         assert order == [0, 1, 2, 3, 4]
 
     def test_fifo_batches_ignore_the_cost_order(self):
@@ -1093,9 +1109,7 @@ class TestCostScheduling:
             features=self._features([1, 9, 1]),
             schedule="fifo",
         )
-        order = [
-            broker.pull("w", max_jobs=1)[0][0][1] for _ in range(3)
-        ]
+        order = self._dispatch_order(broker)
         assert order == [0, 1, 2]
 
     def test_cheap_jobs_lease_in_bulk_and_pinned(self):
@@ -1114,7 +1128,7 @@ class TestCostScheduling:
         assert stats["lease_resizes"] == 1  # granted 5, requested 2
         assert stats["pinned_leases"] == 1
         # Pinned jobs read as started: an idle peer cannot steal them.
-        assert broker.pull("w2", max_jobs=1)[0][0][1] == 5
+        assert _lease(broker, "w2", max_jobs=1)[0][0][1] == 5
 
     def test_long_job_leases_alone_unpinned(self):
         broker = self._trained_broker(unit_cost=0.1, lease_target=0.5)
@@ -1132,7 +1146,7 @@ class TestCostScheduling:
         # it, unlike the pinned pair.
         tail = broker.lease_jobs("w1", max_jobs=4)
         assert tail["pinned"] and len(tail["jobs"]) == 2
-        assert broker.pull("w2", max_jobs=1)[0][0] == ("b", 0)
+        assert _lease(broker, "w2", max_jobs=1)[0][0] == ("b", 0)
 
     def test_featureless_lease_respects_requested_max_jobs(self):
         broker = Broker(lease_timeout=10.0)  # fifo, no features
@@ -1155,24 +1169,6 @@ class TestCostScheduling:
 
 
 class TestBatchedTransport:
-    def test_wire_pack_roundtrip(self):
-        from repro.dist import WireBlob, wire_pack, wire_unpack
-
-        value = {"key": list(range(1000))}
-        packed = wire_pack(value, threshold=16)
-        assert isinstance(packed, WireBlob)
-        assert wire_unpack(packed) == value
-        # Below threshold (or disabled): passthrough, not an envelope.
-        assert wire_pack(7, threshold=16) == 7
-        assert wire_pack(value, threshold=None) is value
-        assert wire_unpack("plain") == "plain"
-
-    def test_wire_unpack_rejects_unknown_tag(self):
-        from repro.dist import WireBlob, wire_unpack
-
-        with pytest.raises(ReproError):
-            wire_unpack(WireBlob(data=b"?garbage"))
-
     def test_complete_many_is_idempotent_under_replay(self):
         broker = Broker(lease_timeout=10.0)
         broker.submit("b", [JobPayload(echo, i) for i in range(3)])
@@ -1191,7 +1187,7 @@ class TestBatchedTransport:
         assert broker.fetch_ready("b", 0) == [0, 1, 2]
 
     def test_worker_ships_batched_uploads(self, server):
-        worker = _start_worker(server.address, upload_batch=4)
+        worker = _start_worker(server.address)
         try:
             executor = DistExecutor(
                 server.address, poll_interval=0.02, timeout=60
@@ -1204,30 +1200,38 @@ class TestBatchedTransport:
         finally:
             worker.terminate()
 
-    def test_upload_batch_one_keeps_legacy_wire_shape(self, server):
-        worker = _start_worker(server.address, upload_batch=1)
-        try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=60
-            )
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-            assert server.broker.stats()["batched_uploads"] == 0
-        finally:
-            worker.terminate()
+class TestWorkerValidation:
+    """Bad worker settings fail before any connect attempt, so no
+    broker is needed — the address below has nothing listening."""
 
-    def test_compressed_payloads_and_results_roundtrip(self, server):
-        worker = _start_worker(server.address, compress_threshold=64)
-        try:
-            executor = DistExecutor(
-                server.address,
-                poll_interval=0.02,
-                timeout=60,
-                compress_threshold=64,
-            )
-            items = [{"index": i, "blob": "x" * 4096} for i in range(4)]
-            assert executor.map(echo, items) == items
-        finally:
-            worker.terminate()
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"prefetch": 0}, "prefetch"),
+            ({"prefetch": -3}, "prefetch"),
+            ({"poll_interval": -1.0}, "poll_interval"),
+            ({"poll_interval": 0.0}, "poll_interval"),
+            ({"max_idle": -0.5}, "max_idle"),
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs, match):
+        with pytest.raises(ReproError, match=match):
+            worker_loop("127.0.0.1:1", retry=_FAST_RETRY, **kwargs)
+
+    @pytest.mark.parametrize(
+        "flags,match",
+        [
+            (["--poll-interval", "-1"], "poll_interval"),
+            (["--prefetch", "0"], "prefetch"),
+        ],
+    )
+    def test_cli_reports_error_and_exits_2(self, flags, match, capsys):
+        from repro.cli import main
+
+        assert main(["dist", "worker", "127.0.0.1:1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and match in err
+        assert "Traceback" not in err
 
 
 class TestAdaptivePolling:
@@ -1328,7 +1332,7 @@ class TestCostModelPersistenceEndToEnd:
             schedule="cost",
         )
         for job_id, payload in broker.lease_jobs("w", max_jobs=2)["jobs"]:
-            broker.complete("w", job_id, payload.item, runtime=0.2)
+            _complete(broker, "w", job_id, payload.item, runtime=0.2)
         assert broker.cost_save()
         assert path.exists()
         reborn = Broker(

@@ -24,7 +24,6 @@ from repro.policies.uniform import UniformSizing
 from repro.sim.arbiter import KERNEL_ARBITERS
 from repro.sim.fastpath import ExponentialBlockPool, ExponentialPool
 from repro.sim.megabatch import (
-    ENGINES,
     MegaBatchLane,
     available_engines,
     megabatch_supported,
@@ -44,6 +43,11 @@ SCENARIOS = ("netproc", "fig1", "amba", "random-mesh-2-7")
 AVAILABLE_ENGINES = tuple(
     name for name, ok in available_engines().items() if ok
 )
+
+#: The engine tests that must drive a real lane use: the compiled one
+#: the host resolves, else the interpreted oracle (on a host without
+#: numba or cc, ``simulate_block`` itself never builds a lane).
+KERNEL_ENGINE = resolve_engine() or "python"
 
 
 def _cell(name):
@@ -187,15 +191,21 @@ class TestEngines:
         with pytest.raises(SimulationError, match="cc"):
             resolve_engine("cc")
 
-    def test_unknown_engine_rejected(self):
+    def test_unknown_engine_rejected(self, monkeypatch):
+        # "numpy" named the deleted lockstep engine.
+        for name in ("fortran", "numpy"):
+            with pytest.raises(SimulationError, match="unknown"):
+                resolve_engine(name)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "numpy")
         with pytest.raises(SimulationError, match="unknown"):
-            resolve_engine("fortran")
+            resolve_engine()
 
     def test_env_var_forces_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "python")
         assert resolve_engine() == "python"
         monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert resolve_engine() in ENGINES
+        # The automatic path only ever picks a compiled engine.
+        assert resolve_engine() in ("numba", "cc", None)
 
 
 # -- kernel-path gating and fallback ------------------------------------
@@ -230,6 +240,45 @@ class TestSupportGate:
         )
         assert got == ref
 
+    def test_no_compiled_engine_runs_batched_per_seed(self, monkeypatch):
+        from repro.sim import _mbcc, megabatch
+
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_JIT", raising=False)
+        monkeypatch.setattr(_mbcc, "load_kernel", lambda: None)
+        monkeypatch.setattr(megabatch, "_load_numba", lambda: None)
+
+        def no_lane(*args, **kwargs):
+            raise AssertionError("MegaBatchLane built without a compiler")
+
+        monkeypatch.setattr(megabatch, "MegaBatchLane", no_lane)
+        assert resolve_engine() is None
+        topology, capacities = _cell("netproc")
+        seeds = [3, 1003, 77]
+        block = simulate_block(
+            topology, capacities, duration=120.0, seeds=seeds,
+            timeout_threshold=3.0, warmup=20.0,
+        )
+        for seed, got in zip(seeds, block):
+            ref = simulate(
+                topology, capacities, duration=120.0, seed=seed,
+                timeout_threshold=3.0, warmup=20.0, backend="batched",
+            )
+            assert got == ref, seed
+
+    def test_lane_needs_an_engine(self, monkeypatch):
+        from repro.sim import _mbcc, megabatch
+
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        monkeypatch.setattr(_mbcc, "load_kernel", lambda: None)
+        monkeypatch.setattr(megabatch, "_load_numba", lambda: None)
+        topology, capacities = _cell("fig1")
+        with pytest.raises(SimulationError, match="engine='python'"):
+            MegaBatchLane(topology, capacities, [3])
+        assert MegaBatchLane(
+            topology, capacities, [3], engine="python"
+        ).engine == "python"
+
     def test_lane_rejects_randomised_arbiter(self):
         topology, capacities = _cell("fig1")
         with pytest.raises(SimulationError, match="deterministic"):
@@ -245,7 +294,9 @@ class TestSupportGate:
 
     def test_lane_window_protocol_errors(self):
         topology, capacities = _cell("fig1")
-        lane = MegaBatchLane(topology, capacities, [3])
+        lane = MegaBatchLane(
+            topology, capacities, [3], engine=KERNEL_ENGINE
+        )
         with pytest.raises(SimulationError, match="start"):
             lane.run_until(10.0)
         lane.start()
@@ -417,7 +468,8 @@ class TestObservability:
         obs.enable_tracing()
         try:
             simulate_block(
-                topology, capacities, duration=100.0, seeds=[3, 1003]
+                topology, capacities, duration=100.0, seeds=[3, 1003],
+                engine=KERNEL_ENGINE,
             )
             counters = obs.registry().counters_snapshot()
             assert counters["sim.megabatch.invocations"] >= 1
@@ -435,7 +487,7 @@ class TestObservability:
         topology, capacities = _cell("fig1")
         run = lambda: simulate_block(
             topology, capacities, duration=200.0, seeds=[3],
-            warmup=50.0,
+            warmup=50.0, engine=KERNEL_ENGINE,
         )
         run()  # warm lazy imports, the compiled kernel, and caches
         obs_dir = os.path.dirname(obs.__file__)

@@ -64,10 +64,13 @@ def _start_worker(address, **kwargs):
 def _populate(broker):
     """Drive a broker through enough protocol to light every section."""
     broker.submit("batch-1", ["p0", "p1", "p2"])
-    granted = broker.pull("w1", max_jobs=2)
+    granted = broker.lease_jobs("w1", max_jobs=2)["jobs"]
     for job_id, payload in granted:
         broker.start("w1", job_id)
-        broker.complete("w1", job_id, payload.upper(), runtime=0.2)
+    broker.complete_many(
+        "w1",
+        [(job_id, payload.upper(), 0.2) for job_id, payload in granted],
+    )
     broker.heartbeat(
         "w1",
         metrics={
