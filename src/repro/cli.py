@@ -26,8 +26,9 @@ enumerates them).  The runtime flags ``--jobs`` / ``--cache-dir`` /
 the :mod:`repro.exec` execution runtime; none of them changes any
 reported number, except that the simulation backends are only
 statistically equivalent under randomised arbitration (the default is
-the batched array lane; ``--sim-backend heap`` selects the reference
-event loop — see ``docs/execution.md``).
+the batched array lane, which runs the mega-batch kernel when a C
+compiler or numba is available; ``--sim-backend heap`` selects the
+reference event loop — see ``docs/execution.md``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.policies.analytic import AnalyticGreedySizing
 from repro.policies.ctmdp_policy import CTMDPSizing
 from repro.policies.proportional import ProportionalSizing
 from repro.policies.uniform import UniformSizing
+from repro.sim.runner import SIM_BACKENDS
 
 _POLICIES = {
     "uniform": UniformSizing,
@@ -154,14 +156,14 @@ def _add_runtime_flags(
     )
     parser.add_argument(
         "--sim-backend",
-        choices=("heap", "batched", "megabatch"),
+        choices=SIM_BACKENDS,
         default="batched",
         help="simulation engine for replication batches: 'batched' "
-        "(default) is the array-native lane, 'heap' the reference "
-        "event loop, 'megabatch' the replication-stacked kernel "
-        "(one array program per cell; bitwise-identical fixed-seed "
-        "metrics for deterministic arbiters, statistically "
-        "equivalent for randomised ones)",
+        "(default) runs the C/numba mega-batch kernel when one is "
+        "available and the array-native lane otherwise, with "
+        "bitwise-identical results; 'heap' is the reference event "
+        "loop (bitwise-identical fixed-seed metrics for deterministic "
+        "arbiters, statistically equivalent for randomised ones)",
     )
     parser.add_argument(
         "--sim-jit",
@@ -954,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--sim-backend",
-        choices=("heap", "batched", "megabatch"),
+        choices=SIM_BACKENDS,
         default="batched",
     )
     p_run.add_argument("--sim-jit", action="store_true")
@@ -1052,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seed", type=int, default=0)
     p_chaos.add_argument(
         "--sim-backend",
-        choices=("heap", "batched", "megabatch"),
+        choices=SIM_BACKENDS,
         default="batched",
     )
     p_chaos.add_argument("--sim-jit", action="store_true")

@@ -23,7 +23,7 @@ from repro.exec.cache import canonicalize
 from repro.exec.pool import parallel_map
 from repro.dist import jobs as dist_jobs
 from repro.dist.jobs import BlockOutcome, ProcessMemo, run_block
-from repro.sim.runner import ReplicationSummary
+from repro.sim.runner import ReplicationSummary, check_horizon, check_seed
 
 __all__ = ["FleetCell", "FleetOutcome", "build_matrix", "run_matrix"]
 
@@ -97,6 +97,8 @@ def build_matrix(
     more to balance (and more blocks sharing each cell's cached
     sizing), at proportionally more per-job round-trips.
 
+    ``sim_backend`` is ``"batched"`` (kernel when available) or ``"heap"``.
+
     Scenarios and budgets are deduplicated (first spelling wins, by
     *canonical* scenario name, so family aliases collapse too): a cell
     enumerated twice would otherwise merge into one summary with
@@ -110,6 +112,8 @@ def build_matrix(
         )
     if block_reps < 1:
         raise ReproError(f"block_reps must be >= 1, got {block_reps}")
+    check_horizon(duration)  # before any job ships to a worker
+    check_seed(base_seed)
     specs = list(
         {
             spec.name: spec
@@ -205,7 +209,8 @@ def run_matrix(
     the blocks over a broker fleet; ``jobs=N`` over the local pool;
     the default is the serial reference loop.  All three merge to
     bitwise-identical outcomes.  ``on_result(index, block)`` streams
-    completed blocks in submission order.
+    completed blocks in submission order.  ``sim_backend`` takes the
+    values of :func:`build_matrix`.
 
     ``schedule`` ("fifo" or "cost") sets the fleet scheduling policy
     on the executor for this matrix: "cost" dispatches cells

@@ -149,11 +149,7 @@ def run_block(payload: Dict[str, Any]) -> BlockOutcome:
     publishes it and every other block reuses it); for local runs,
     ``run_matrix`` installs a run-scoped :class:`ProcessMemo` instead.
     """
-    from repro.sim.runner import (
-        replication_seeds,
-        simulate,
-        simulate_block,
-    )
+    from repro.sim.runner import replication_seeds, simulate_block
 
     spec = scenarios.get(payload["scenario"])
     topology = spec.topology()
@@ -171,31 +167,17 @@ def run_block(payload: Dict[str, Any]) -> BlockOutcome:
         payload["base_seed"],
         payload["seed_scheme"],
     )
-    if payload["sim_backend"] == "megabatch":
-        # One kernel cell per block: every replication of the slice
-        # advances in lockstep.  Per-replication streams are derived
-        # from the global seed list, so the block results are bitwise
-        # the per-seed batched runs the serial path would produce.
-        results = simulate_block(
-            topology,
-            capacities,
-            duration=payload["duration"],
-            seeds=[
-                seeds[r]
-                for r in range(payload["start"], payload["stop"])
-            ],
-        )
-    else:
-        results = [
-            simulate(
-                topology,
-                capacities,
-                duration=payload["duration"],
-                seed=seeds[r],
-                backend=payload["sim_backend"],
-            )
-            for r in range(payload["start"], payload["stop"])
-        ]
+    # One simulate_block call per block: it runs the kernel when an
+    # engine resolves, per-seed runs otherwise.  Seeds are indexed from
+    # the global list, so the block results are bitwise the per-seed
+    # runs the serial path would produce.
+    results = simulate_block(
+        topology,
+        capacities,
+        duration=payload["duration"],
+        seeds=seeds[payload["start"]:payload["stop"]],
+        backend=payload["sim_backend"],
+    )
     # Scenario-labeled fleet telemetry: shipped to the broker with the
     # worker's other counters, split out by the Prometheus exposition
     # as repro_fleet_scenario_*_total{scenario=...}.  Counters only —

@@ -18,10 +18,10 @@ number they produce:
 :class:`ExecutionContext` bundles the runtime knobs (``jobs``,
 ``cache``, ``warm_start``, ``sim_backend``, ``scenario``) into the
 single object the drivers and the CLI pass around.  The default context
-is serial, uncached, warm and batched-engined (the array lane is the
-experiment default since it soaked; ``sim_backend="heap"`` selects the
-reference event loop, which produces bitwise-identical fixed-seed
-metrics for deterministic arbiters).
+is serial, uncached, warm and batched-engined (the mega-batch kernel
+when a compiled engine resolves, else the per-seed array lane; same
+bits).  ``sim_backend="heap"`` selects the reference event loop, which
+produces bitwise-identical fixed-seed metrics for deterministic arbiters.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class ExecutionContext:
         (the ``--no-warm-start`` escape hatch clears this).
     sim_backend:
         Simulation engine for replication batches — ``"batched"`` (the
-        array lane, default since it soaked) or ``"heap"`` (the
-        reference event loop; ``--sim-backend heap`` escape hatch); see
+        default; kernel when available) or ``"heap"`` (the reference
+        event loop; ``--sim-backend heap`` escape hatch); see
         :data:`repro.sim.runner.SIM_BACKENDS`.  Unlike ``jobs``, the
         backend *is* part of replication cache keys: randomised
         arbiters are only statistically equivalent across backends.

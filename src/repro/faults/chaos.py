@@ -311,7 +311,8 @@ def run_chaos_matrix(
     """Run the fault matrix; every cell must reproduce the reference.
 
     Parameters mirror :func:`~repro.dist.fleet.run_matrix` for the
-    workload itself; ``plans`` defaults to
+    workload itself (``sim_backend`` is ``"batched"`` or ``"heap"``);
+    ``plans`` defaults to
     :func:`~repro.faults.plan.standard_plans`, ``modes`` selects the
     execution lanes, and ``log_dir`` (optional) collects one fault log
     per (plan, mode) case.  ``schedule`` sets the dist lane's fleet

@@ -13,7 +13,7 @@ from typing import Dict
 
 from repro.arch.topology import Topology
 from repro.errors import PolicyError
-from repro.sim.runner import simulate
+from repro.sim.runner import simulate_block
 
 
 def calibrate_timeout_threshold(
@@ -37,7 +37,8 @@ def calibrate_timeout_threshold(
     backend:
         Simulation engine for the calibration run (see
         :data:`repro.sim.runner.SIM_BACKENDS`); the experiment drivers
-        pass their context's backend through.
+        pass their context's backend through, and ``"batched"`` runs
+        the mega-batch kernel when one resolves (same bits).
     floor:
         Lower bound to keep the threshold usable when the calibration
         sees almost no queueing.
@@ -53,7 +54,7 @@ def calibrate_timeout_threshold(
         raise PolicyError(f"duration must be > 0, got {duration}")
     if multiplier <= 0:
         raise PolicyError(f"multiplier must be > 0, got {multiplier}")
-    result = simulate(
-        topology, capacities, duration=duration, seed=seed, backend=backend
-    )
+    result = simulate_block(
+        topology, capacities, duration=duration, seeds=[seed], backend=backend
+    )[0]
     return max(result.mean_waiting_time * multiplier, floor)

@@ -9,11 +9,12 @@ that exceed the timeout threshold under the timeout policy — are lost.
 Public surface:
 
 * :func:`repro.sim.runner.simulate` — run one topology + allocation
-  (``backend="heap"`` reference loop, ``backend="batched"`` array
-  lane, or ``backend="megabatch"`` replication-stacked kernel; see
-  :data:`repro.sim.runner.SIM_BACKENDS`).
-* :func:`repro.sim.runner.simulate_block` — one mega-batch kernel cell:
-  many seeds of the same configuration in a single array program.
+  (``backend="heap"`` reference loop or ``backend="batched"`` array
+  lane; see :data:`repro.sim.runner.SIM_BACKENDS`).
+* :func:`repro.sim.runner.simulate_block` — many seeds of one
+  configuration; under ``backend="batched"`` a single mega-batch
+  kernel program when a compiled engine resolves, per-seed runs
+  otherwise (same bits).
 * :func:`repro.sim.runner.replicate` — n seeds, aggregated statistics.
 * :class:`repro.sim.runner.SimulationResult` — per-processor losses etc.
 * Arbiters in :mod:`repro.sim.arbiter`.

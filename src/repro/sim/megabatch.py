@@ -29,7 +29,9 @@ Three interchangeable engines execute the same kernel — ``numba``
 and ``python``, the interpreted scalar kernel kept as the correctness
 oracle.  ``REPRO_SIM_ENGINE`` forces one explicitly.  The engine choice
 never affects results (bitwise, test-enforced) and is therefore *not*
-part of scenario cache keys; the backend is.
+part of scenario cache keys; the backend is.  Callers do not pick this
+lane: :func:`repro.sim.runner.simulate_block` takes it for every
+``backend="batched"`` block it can.
 
 The lane only takes the kernel path when a compiled engine resolves
 and the configuration can be replayed exactly: deterministic arbiters
@@ -146,8 +148,9 @@ def megabatch_supported(topology: Topology, arbiter_kind: str) -> bool:
     Requires a deterministic arbiter (the kernel inlines those three
     policies) and stateless traffic descriptors (a stateful descriptor
     like TraceTraffic shares its replay cursor across replications, so
-    draws must not be interleaved).  Unsupported cells still run under
-    ``backend="megabatch"`` — via the sequential batched fallback.
+    draws must not be interleaved).  Unsupported cells still run, as
+    per-seed ``backend="batched"`` simulations in
+    :func:`repro.sim.runner.simulate_block`.
     """
     if arbiter_kind not in KERNEL_ARBITERS:
         return False

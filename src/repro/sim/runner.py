@@ -6,7 +6,9 @@ is that loop, with independent seeds and mean/confidence aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,13 +65,33 @@ class SimulationResult:
 #: reference engine (one callback per event); ``"batched"`` is the
 #: array-native lane of :mod:`repro.sim.batched`, which produces
 #: bitwise-identical fixed-seed metrics for deterministic arbiters and
-#: statistically equivalent ones under randomised arbitration;
-#: ``"megabatch"`` is the replication-stacked kernel of
-#: :mod:`repro.sim.megabatch` — one array program advances every
-#: replication of a cell at once, with the same bitwise fixed-seed
-#: contract as ``"batched"`` (configurations the kernel cannot replay
-#: exactly fall back to per-replication batched runs).
-SIM_BACKENDS = ("heap", "batched", "megabatch")
+#: statistically equivalent ones under randomised arbitration.  Under
+#: :func:`simulate_block` (and so :func:`replicate`), ``"batched"``
+#: runs the replication-stacked kernel of :mod:`repro.sim.megabatch`
+#: whenever a compiled engine resolves — same bits, one array program
+#: per block of seeds.
+SIM_BACKENDS = ("heap", "batched")
+
+
+def check_horizon(duration: float, warmup: float = 0.0) -> None:
+    """Reject a window no engine can run (a NaN one would never end)."""
+    if not (math.isfinite(duration) and duration > 0):
+        raise SimulationError(
+            f"duration must be finite and > 0, got {duration}"
+        )
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise SimulationError(
+            f"warmup must be finite and >= 0, got {warmup}"
+        )
+
+
+def check_seed(seed) -> int:
+    """A simulation seed as a plain ``int``; must be a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise SimulationError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
+    return int(seed)
 
 
 def simulate(
@@ -94,24 +116,13 @@ def simulate(
 
     ``backend`` selects the event engine (see :data:`SIM_BACKENDS`).
     """
-    if warmup < 0:
-        raise SimulationError(f"warmup must be >= 0, got {warmup}")
+    check_horizon(duration, warmup)
+    seed = check_seed(seed)
     if backend not in SIM_BACKENDS:
         raise SimulationError(
             f"unknown simulation backend {backend!r}; "
             f"choose from {SIM_BACKENDS}"
         )
-    if backend == "megabatch":
-        return simulate_block(
-            topology,
-            capacities,
-            duration=duration,
-            seeds=[seed],
-            arbiter_kind=arbiter_kind,
-            arbiter_weights=arbiter_weights,
-            timeout_threshold=timeout_threshold,
-            warmup=warmup,
-        )[0]
     system = CommunicationSystem(
         topology,
         capacities,
@@ -188,24 +199,24 @@ def simulate_block(
     arbiter_weights: Optional[Dict[str, float]] = None,
     timeout_threshold: Optional[float] = None,
     warmup: float = 0.0,
+    backend: str = "batched",
     engine: Optional[str] = None,
 ) -> List[SimulationResult]:
-    """Run one simulation per seed through the mega-batch kernel.
+    """Run one simulation per seed of one cell; this picks the engine.
 
     All seeds share one cell (same topology, capacities, arbiter and
-    timeout); one :class:`~repro.sim.megabatch.MegaBatchLane` advances
-    every replication per kernel invocation.  Results are returned in
-    seed order and are bitwise identical to running
-    ``simulate(..., backend="batched")`` per seed — configurations the
+    timeout).  Under ``backend="batched"`` one
+    :class:`~repro.sim.megabatch.MegaBatchLane` advances every
+    replication per kernel invocation.  Results are returned in seed
+    order and are bitwise identical to ``simulate(..., backend=backend)``
+    per seed — which is what runs instead for ``"heap"``, for cells the
     kernel cannot replay exactly (randomised arbiters, stateful traffic
-    descriptors), and hosts where no compiled engine resolves, take
-    exactly that per-seed path instead, so the equality is universal.
+    descriptors), and on hosts where no compiled engine resolves.
     ``engine`` forces a kernel engine (see
     :func:`repro.sim.megabatch.resolve_engine`).
     """
-    if warmup < 0:
-        raise SimulationError(f"warmup must be >= 0, got {warmup}")
-    seed_list = [int(s) for s in seeds]
+    check_horizon(duration, warmup)
+    seed_list = [check_seed(s) for s in seeds]
     if not seed_list:
         raise SimulationError("simulate_block needs at least one seed")
     from repro.sim.megabatch import (
@@ -214,7 +225,7 @@ def simulate_block(
         resolve_engine,
     )
 
-    engine = resolve_engine(engine)
+    engine = resolve_engine(engine) if backend == "batched" else None
     if engine is None or not megabatch_supported(topology, arbiter_kind):
         return [
             simulate(
@@ -226,7 +237,7 @@ def simulate_block(
                 arbiter_weights=arbiter_weights,
                 timeout_threshold=timeout_threshold,
                 warmup=warmup,
-                backend="batched",
+                backend=backend,
             )
             for s in seed_list
         ]
@@ -243,7 +254,7 @@ def simulate_block(
     base_offered = base_lost = base_timeout = base_delivered = None
     if warmup > 0:
         with obs.span("sim.window") as span:
-            span.set("backend", "megabatch")
+            span.set("backend", lane.engine)
             span.set("phase", "warmup")
             lane.run_until(warmup)
         base_offered = lane.offered.copy()
@@ -251,10 +262,10 @@ def simulate_block(
         base_timeout = lane.timed_out.copy()
         base_delivered = lane.delivered.copy()
     with obs.span("sim.window") as span:
-        span.set("backend", "megabatch")
+        span.set("backend", lane.engine)
         span.set("phase", "measure")
         lane.run_until(warmup + duration)
-    obs.counter("sim.windows").inc()
+    obs.counter("sim.windows").inc(lane.R)  # one per replication, as per-seed
     index = {name: i for i, name in enumerate(lane.proc_names)}
     results: List[SimulationResult] = []
     for r in range(lane.R):
@@ -347,6 +358,7 @@ def replication_seeds(
         raise SimulationError(
             f"replications must be >= 1, got {replications}"
         )
+    base_seed = check_seed(base_seed)
     if scheme == "legacy":
         return [base_seed + 1000 * r for r in range(replications)]
     if scheme == "spawn":
@@ -359,30 +371,25 @@ def replication_seeds(
     )
 
 
-def _simulate_job(
-    job: Tuple[Topology, Dict[str, int], float, int, dict]
-) -> SimulationResult:
-    """Pool worker: one independent simulation (pure in its arguments)."""
-    topology, capacities, duration, seed, kwargs = job
-    return simulate(
-        topology, capacities, duration=duration, seed=seed, **kwargs
-    )
-
-
 def _simulate_block_job(
     job: Tuple[Topology, Dict[str, int], float, List[int], dict]
 ) -> List[SimulationResult]:
-    """Pool worker: one mega-batch block (pure in its arguments)."""
+    """Pool worker: one replication block (pure in its arguments)."""
     topology, capacities, duration, seeds, kwargs = job
     return simulate_block(
         topology, capacities, duration=duration, seeds=seeds, **kwargs
     )
 
 
-#: Replications per mega-batch block on a distributed executor: small
+#: Replications per block on a distributed executor: small
 #: enough that a fleet with more workers than blocks still load-balances
 #: through work stealing, large enough to amortise one kernel per block.
 MEGABATCH_DIST_BLOCK = 8
+
+#: Widest local block.  Kernel lane memory grows with the block (about
+#: 0.45 MB of peak RSS per netproc replication) while its throughput is
+#: flat from R=32 on, so a 2000-replication batch must not be one lane.
+MEGABATCH_MAX_BLOCK = 64
 
 
 def replicate(
@@ -395,64 +402,53 @@ def replicate(
     seed_scheme: str = "legacy",
     executor=None,
     on_result=None,
+    backend: str = "heap",
     **kwargs,
 ) -> ReplicationSummary:
     """Run ``replications`` independent simulations (the paper's 10 iterations).
 
-    ``jobs`` fans the independent-seed runs over a process pool via
-    :mod:`repro.exec.pool` — or over a distributed fleet when
-    ``executor`` (e.g. :class:`repro.dist.DistExecutor`) is given;
-    seeds are derived up front and results are merged in replication
-    order, so any ``jobs``/executor choice produces a bitwise-identical
-    :class:`ReplicationSummary`.  ``on_result(index, result)`` fires in
-    replication order as runs complete.  ``seed_scheme`` selects how
-    per-replication seeds are derived (see :func:`replication_seeds`).
-    Remaining keyword arguments — including the simulation ``backend``
-    — pass through to :func:`simulate`.
+    Seeds are derived up front (``seed_scheme``, see
+    :func:`replication_seeds`) and split into contiguous blocks, one
+    :func:`simulate_block` call each: ``min(jobs, replications)`` blocks
+    of at most :data:`MEGABATCH_MAX_BLOCK` over a process pool via
+    :mod:`repro.exec.pool`, or blocks of
+    :data:`MEGABATCH_DIST_BLOCK` over a fleet when ``executor`` (e.g.
+    :class:`repro.dist.DistExecutor`) is given.  Results merge in
+    replication order, so any ``jobs``/executor choice gives a
+    bitwise-identical :class:`ReplicationSummary`; ``on_result(index,
+    result)`` fires in that order as blocks complete.  ``backend`` and
+    the remaining keyword arguments pass through to :func:`simulate_block`.
     """
     seeds = replication_seeds(replications, base_seed, seed_scheme)
-    if kwargs.get("backend") == "megabatch":
-        # Block dispatch: partition the seed list into contiguous
-        # blocks — one mega-batch kernel cell per worker — and flatten
-        # the per-block result lists back in replication order.  The
-        # per-replication streams are independent, so every partition
-        # (serial, jobs=N, distributed) merges bitwise-identically.
-        sim_kwargs = {k: v for k, v in kwargs.items() if k != "backend"}
-        if executor is not None:
-            nblocks = -(-replications // MEGABATCH_DIST_BLOCK)
-        else:
-            nblocks = min(resolve_jobs(jobs), replications)
-        spans = partition_blocks(replications, nblocks)
-        block_jobs = [
-            (topology, capacities, duration, seeds[lo:hi], sim_kwargs)
-            for lo, hi in spans
-        ]
-        block_on_result = None
-        if on_result is not None:
-            starts = [lo for lo, _ in spans]
-
-            def block_on_result(block_index, block):
-                # Explode block results into per-replication progress
-                # events; blocks complete in submission order, so the
-                # global indices fire in replication order.
-                for offset, result in enumerate(block):
-                    on_result(starts[block_index] + offset, result)
-
-        blocks = parallel_map(
-            _simulate_block_job,
-            block_jobs,
-            jobs=jobs,
-            executor=executor,
-            on_result=block_on_result,
+    if executor is not None:
+        nblocks = -(-replications // MEGABATCH_DIST_BLOCK)
+    else:
+        nblocks = max(
+            min(resolve_jobs(jobs), replications),
+            -(-replications // MEGABATCH_MAX_BLOCK),
         )
-        return ReplicationSummary(
-            [result for block in blocks for result in block]
-        )
-    results = parallel_map(
-        _simulate_job,
-        [(topology, capacities, duration, seed, kwargs) for seed in seeds],
+    spans = partition_blocks(replications, nblocks)
+    block_kwargs = dict(kwargs, backend=backend)
+    block_jobs = [
+        (topology, capacities, duration, seeds[lo:hi], block_kwargs)
+        for lo, hi in spans
+    ]
+    block_on_result = None
+    if on_result is not None:
+        starts = [lo for lo, _ in spans]
+
+        def block_on_result(block_index, block):
+            # Explode block results into per-replication progress
+            # events; blocks complete in submission order, so the
+            # global indices fire in replication order.
+            for offset, result in enumerate(block):
+                on_result(starts[block_index] + offset, result)
+
+    blocks = parallel_map(
+        _simulate_block_job,
+        block_jobs,
         jobs=jobs,
         executor=executor,
-        on_result=on_result,
+        on_result=block_on_result,
     )
-    return ReplicationSummary(results)
+    return ReplicationSummary([result for block in blocks for result in block])

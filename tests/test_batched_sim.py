@@ -27,7 +27,12 @@ from repro.sim.buffer import FiniteBuffer, PacketRing
 from repro.sim.engine import BatchedSimulator
 from repro.sim.fastpath import ExponentialPool
 from repro.sim.packet import Hop, Packet
-from repro.sim.runner import SIM_BACKENDS, replicate, simulate
+from repro.sim.runner import (
+    SIM_BACKENDS,
+    replicate,
+    simulate,
+    simulate_block,
+)
 from repro.sim.system import CommunicationSystem
 from repro.sim.workloads import (
     RequestTrace,
@@ -220,7 +225,41 @@ class TestBackendValidation:
             simulate(fig1, fig1_caps, duration=10.0, backend="quantum")
 
     def test_backends_registry(self):
-        assert SIM_BACKENDS == ("heap", "batched", "megabatch")
+        assert SIM_BACKENDS == ("heap", "batched")
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            ({"duration": float("nan")}, "duration"),
+            ({"duration": float("inf")}, "duration"),
+            ({"duration": 0.0}, "duration"),
+            ({"warmup": float("nan")}, "warmup"),
+            ({"warmup": -1.0}, "warmup"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2.5}, "seed"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_bad_window_or_seed_rejected(
+        self, fig1, fig1_caps, block, bad, match
+    ):
+        kwargs = dict({"duration": 10.0}, **bad)
+        with pytest.raises(SimulationError, match=match):
+            if block:
+                # A bad seed anywhere in the block rejects the block.
+                kwargs["seeds"] = [3, kwargs.pop("seed", 4)]
+                simulate_block(fig1, fig1_caps, **kwargs)
+            else:
+                simulate(fig1, fig1_caps, **kwargs)
+
+    @pytest.mark.parametrize("scheme", ["legacy", "spawn"])
+    def test_negative_base_seed_rejected(self, fig1, fig1_caps, scheme):
+        with pytest.raises(SimulationError, match="seed"):
+            replicate(
+                fig1, fig1_caps, replications=2, duration=10.0,
+                base_seed=-1, seed_scheme=scheme,
+            )
 
     def test_lane_rejects_started_system(self, fig1, fig1_caps):
         system = CommunicationSystem(fig1, fig1_caps)

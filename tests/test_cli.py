@@ -1,5 +1,9 @@
 """Tests for repro.cli."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.arch.dsl import serialize_topology
@@ -138,11 +142,14 @@ class TestRuntimeFlags:
         assert capsys.readouterr().out == batched_out
 
     def test_sim_backend_choices_enforced(self, arch_file):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([
-                "simulate", arch_file, "--budget", "8",
-                "--sim-backend", "quantum",
-            ])
+        # "megabatch" named the kernel, which "batched" now picks itself.
+        for name in ("quantum", "megabatch"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([
+                    "simulate", arch_file, "--budget", "8",
+                    "--sim-backend", name,
+                ])
+            assert exc.value.code == 2
 
     def test_cache_max_mb_flag(self, arch_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -264,6 +271,44 @@ class TestDistCliValidation:
         ]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--budgets" in err
+
+    @pytest.mark.parametrize(
+        "argv,match",
+        [
+            (["simulate", "--duration", "nan"], "duration"),
+            (["simulate", "--duration", "0"], "duration"),
+            (["simulate", "--seed", "-1"], "seed"),
+            (["dist", "run", "--duration", "nan"], "duration"),
+            (["dist", "run", "--seed", "-1"], "seed"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_horizon_or_seed_is_a_clean_error(self, argv, match, capsys):
+        if argv[0] == "simulate":
+            argv = argv + ["--policy", "uniform"]
+        assert main(argv + ["--scenario", "amba", "--reps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and match in err
+        assert "Traceback" not in err
+
+    def test_nan_duration_returns_instead_of_hanging(self):
+        # A NaN horizon never passes the kernel's event clock; it must
+        # be refused before any engine starts.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "simulate",
+                "--scenario", "amba", "--policy", "uniform",
+                "--reps", "2", "--duration", "nan",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error: duration" in proc.stderr
 
     def test_authkey_runtime_flag_parses(self):
         args = build_parser().parse_args([

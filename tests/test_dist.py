@@ -1391,12 +1391,9 @@ class TestCostDeterminismMatrix:
 
     MATRIX = dict(budgets=[8, 16], replications=2, duration=100.0)
 
-    @pytest.mark.parametrize("sim_backend", ["batched", "megabatch"])
-    def test_cost_fifo_serial_identical_under_worker_death(
-        self, server, sim_backend
-    ):
-        matrix = dict(self.MATRIX, sim_backend=sim_backend)
-        serial = run_matrix(["single-bus-4"], jobs=1, **matrix)
+    def test_cost_fifo_serial_identical_under_worker_death(self, server):
+        # The default sim_backend runs the kernel whenever one resolves.
+        serial = run_matrix(["single-bus-4"], jobs=1, **self.MATRIX)
         workers = [_start_worker(server.address) for _ in range(2)]
         killer = threading.Timer(0.4, workers[0].kill)
         killer.start()
@@ -1408,13 +1405,13 @@ class TestCostDeterminismMatrix:
                 ["single-bus-4"],
                 executor=executor,
                 schedule="cost",
-                **matrix,
+                **self.MATRIX,
             )
             fifo = run_matrix(
                 ["single-bus-4"],
                 executor=executor,
                 schedule="fifo",
-                **matrix,
+                **self.MATRIX,
             )
         finally:
             killer.cancel()

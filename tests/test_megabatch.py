@@ -1,8 +1,8 @@
-"""Tests for the mega-batch replication kernel (``backend="megabatch"``).
+"""Tests for the mega-batch replication kernel behind ``simulate_block``.
 
 The lane's whole value rests on one claim: stacking ``R`` replications
 into one array program changes *nothing* about the numbers.  So the
-suite is mostly equality matrices — megabatch vs batched vs heap across
+suite is mostly equality matrices — kernel vs batched vs heap across
 scenarios, arbiters, timeout and warmup; every available engine against
 the interpreted oracle; serial vs ``jobs=N`` vs distributed merges —
 plus the supporting contracts: block-pool stream identity, fallback
@@ -32,6 +32,7 @@ from repro.sim.megabatch import (
 from repro.sim.runner import (
     SIM_BACKENDS,
     replicate,
+    replication_seeds,
     simulate,
     simulate_block,
 )
@@ -50,6 +51,17 @@ AVAILABLE_ENGINES = tuple(
 KERNEL_ENGINE = resolve_engine() or "python"
 
 
+def _per_seed_batched(topology, capacities, replications, duration):
+    """The reference every replication batch is pinned to."""
+    return [
+        simulate(
+            topology, capacities, duration=duration, seed=seed,
+            backend="batched",
+        )
+        for seed in replication_seeds(replications)
+    ]
+
+
 def _cell(name):
     spec = scenarios.get(name)
     topology = spec.topology()
@@ -63,6 +75,22 @@ def _cell(name):
 @pytest.fixture(scope="module", params=SCENARIOS)
 def cell(request):
     return request.param, *_cell(request.param)
+
+
+@pytest.fixture()
+def lane_widths(monkeypatch):
+    """Seed count of every MegaBatchLane built while the test runs."""
+    from repro.sim import megabatch
+
+    widths = []
+
+    class CountingLane(megabatch.MegaBatchLane):
+        def __init__(self, topology, capacities, seeds, **kwargs):
+            widths.append(len(seeds))
+            super().__init__(topology, capacities, seeds, **kwargs)
+
+    monkeypatch.setattr(megabatch, "MegaBatchLane", CountingLane)
+    return widths
 
 
 # -- satellite: the 2-D block-draw API ----------------------------------
@@ -134,10 +162,9 @@ class TestEquivalenceMatrix:
 
     def test_megabatch_matches_heap(self, cell):
         name, topology, capacities = cell
-        got = simulate(
-            topology, capacities, duration=100.0, seed=3,
-            backend="megabatch",
-        )
+        got = simulate_block(
+            topology, capacities, duration=100.0, seeds=[3]
+        )[0]
         ref = simulate(
             topology, capacities, duration=100.0, seed=3, backend="heap"
         )
@@ -230,10 +257,10 @@ class TestSupportGate:
 
     def test_unsupported_backend_falls_back_bitwise(self):
         topology, capacities = _cell("fig1")
-        got = simulate(
-            topology, capacities, duration=100.0, seed=3,
-            arbiter_kind="weighted_random", backend="megabatch",
-        )
+        got = simulate_block(
+            topology, capacities, duration=100.0, seeds=[3],
+            arbiter_kind="weighted_random",
+        )[0]
         ref = simulate(
             topology, capacities, duration=100.0, seed=3,
             arbiter_kind="weighted_random", backend="batched",
@@ -321,15 +348,29 @@ class TestBlockDispatch:
     def test_replicate_matches_batched_serial_and_pooled(self):
         topology, capacities = _cell("amba")
         kwargs = dict(replications=5, duration=150.0)
-        ref = replicate(topology, capacities, backend="batched", **kwargs)
+        ref = _per_seed_batched(topology, capacities, **kwargs)
         serial = replicate(
-            topology, capacities, backend="megabatch", **kwargs
+            topology, capacities, backend="batched", **kwargs
         )
         pooled = replicate(
-            topology, capacities, backend="megabatch", jobs=2, **kwargs
+            topology, capacities, backend="batched", jobs=2, **kwargs
         )
-        assert serial.results == ref.results
-        assert pooled.results == ref.results
+        heap = replicate(topology, capacities, jobs=2, **kwargs)
+        assert serial.results == ref
+        assert pooled.results == ref
+        assert heap.results == ref
+
+    def test_wide_batch_splits_into_capped_blocks(self, lane_widths):
+        from repro.sim.runner import MEGABATCH_MAX_BLOCK
+
+        topology, capacities = _cell("amba")
+        kwargs = dict(replications=MEGABATCH_MAX_BLOCK + 1, duration=20.0)
+        summary = replicate(topology, capacities, backend="batched", **kwargs)
+        if resolve_engine() is not None:
+            assert lane_widths == [33, 32]
+        assert summary.results == _per_seed_batched(
+            topology, capacities, **kwargs
+        )
 
     def test_on_result_streams_per_replication_in_index_order(self):
         # Parity with the per-replication streaming contract: a block
@@ -342,7 +383,7 @@ class TestBlockDispatch:
                 capacities,
                 replications=5,
                 duration=100.0,
-                backend="megabatch",
+                backend="batched",
                 jobs=jobs,
                 on_result=lambda i, r: events.append((i, r)),
             )
@@ -381,20 +422,19 @@ class TestDistMerge:
             distributed = replicate(
                 topology,
                 capacities,
-                backend="megabatch",
+                backend="batched",
                 executor=executor,
                 **kwargs,
             )
-            serial = replicate(
-                topology, capacities, backend="batched", **kwargs
-            )
-            assert distributed.results == serial.results
+            serial = _per_seed_batched(topology, capacities, **kwargs)
+            assert distributed.results == serial
         finally:
             worker.terminate()
 
 
 class TestChaosSmoke:
     def test_chaos_matrix_green_under_megabatch(self):
+        # The default sim_backend runs the kernel whenever one resolves.
         from repro.faults.chaos import run_chaos_matrix
         from repro.faults.plan import standard_plans
 
@@ -404,7 +444,6 @@ class TestChaosSmoke:
             budgets=[8],
             replications=2,
             duration=20.0,
-            sim_backend="megabatch",
             plans=plans,
             modes=("serial", "jobs"),
             jobs=2,
@@ -416,24 +455,57 @@ class TestChaosSmoke:
 
 
 class TestCacheKey:
-    def test_backend_in_replicate_cache_key(self):
+    def test_backend_in_replicate_cache_key(self, monkeypatch):
+        # The key carries the backend value, never the lane that ran: a
+        # batch the per-seed lane wrote (on a host without a compiler,
+        # or before "batched" took the kernel) is a hit for a kernel run.
         from repro.dist.jobs import ProcessMemo
         from repro.exec import ExecutionContext
+        from repro.sim import _mbcc
 
         topology, capacities = _cell("fig1")
         memo = ProcessMemo()
         kwargs = dict(replications=2, duration=80.0)
-        batched = ExecutionContext(
-            jobs=1, cache=memo, sim_backend="batched"
-        ).replicate(topology, capacities, **kwargs)
-        mega = ExecutionContext(
-            jobs=1, cache=memo, sim_backend="megabatch"
-        ).replicate(topology, capacities, **kwargs)
-        # Same numbers (deterministic arbiters), but distinct entries:
-        # the backend is part of the key, the engine never is.
-        assert mega.results == batched.results
-        assert memo.hits == 0
-        assert memo.misses == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(_mbcc, "load_kernel", lambda: None)
+            patch.delenv("REPRO_SIM_ENGINE", raising=False)
+            patch.delenv("REPRO_SIM_JIT", raising=False)
+            per_seed = ExecutionContext(jobs=1, cache=memo).replicate(
+                topology, capacities, **kwargs
+            )
+        kernel = ExecutionContext(jobs=1, cache=memo).replicate(
+            topology, capacities, **kwargs
+        )
+        assert kernel.results == per_seed.results
+        assert (memo.hits, memo.misses) == (1, 1)
+        # A different backend value is a different entry.
+        ExecutionContext(jobs=1, cache=memo, sim_backend="heap").replicate(
+            topology, capacities, **kwargs
+        )
+        assert (memo.hits, memo.misses) == (1, 2)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_default_context_picks_the_lane(
+        self, monkeypatch, lane_widths, compiled
+    ):
+        # One lane per batch when an engine resolves, none without one;
+        # the same bits as per-seed batched runs either way.
+        from repro.exec import ExecutionContext
+        from repro.sim import _mbcc
+
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_JIT", raising=False)
+        if not compiled:
+            monkeypatch.setattr(_mbcc, "load_kernel", lambda: None)
+        topology, capacities = _cell("fig1")
+        kwargs = dict(replications=3, duration=80.0)
+        summary = ExecutionContext(jobs=1).replicate(
+            topology, capacities, **kwargs
+        )
+        assert lane_widths == ([3] if resolve_engine() is not None else [])
+        assert summary.results == _per_seed_batched(
+            topology, capacities, **kwargs
+        )
 
     def test_cache_hit_still_streams_per_replication(self):
         from repro.dist.jobs import ProcessMemo
@@ -441,9 +513,7 @@ class TestCacheKey:
 
         topology, capacities = _cell("fig1")
         memo = ProcessMemo()
-        context = ExecutionContext(
-            jobs=1, cache=memo, sim_backend="megabatch"
-        )
+        context = ExecutionContext(jobs=1, cache=memo)
         kwargs = dict(replications=3, duration=80.0)
         context.replicate(topology, capacities, **kwargs)
         events = []
@@ -479,7 +549,19 @@ class TestObservability:
             assert hist["max"] == 2.0
             names = [name for name, *_ in obs.recorder().spans()]
             assert "sim.megabatch.kernel" in names
-            assert "sim.window" in names
+            # The window span names the engine that actually ran.
+            lanes = lambda: {
+                args.get("backend")
+                for name, _, _, args in obs.recorder().spans()
+                if name == "sim.window"
+            }
+            assert lanes() == {KERNEL_ENGINE}
+            obs.recorder().clear()
+            simulate_block(
+                topology, capacities, duration=100.0, seeds=[3],
+                arbiter_kind="weighted_random",
+            )
+            assert lanes() == {"batched"}
         finally:
             obs.reset()
 
@@ -510,7 +592,8 @@ class TestObservability:
 
 class TestRegistry:
     def test_backend_registered(self):
-        assert "megabatch" in SIM_BACKENDS
+        # The kernel is picked inside simulate_block, never by name.
+        assert SIM_BACKENDS == ("heap", "batched")
 
     def test_parallel_map_unaffected(self):
         # Block dispatch reuses parallel_map; the plain path stays put.
