@@ -162,6 +162,15 @@ def parse_topology(text: str) -> Topology:
     return topo
 
 
+def _number(value: float) -> str:
+    """A rate or weight as the parser reads it back, bit for bit.
+
+    Generated topologies carry numpy scalars, whose ``repr`` is
+    ``np.float64(...)`` rather than a plain literal.
+    """
+    return repr(float(value))
+
+
 def serialize_topology(topology: Topology) -> str:
     """Serialise a topology back into the DSL.
 
@@ -176,26 +185,30 @@ def serialize_topology(topology: Topology) -> str:
     for bridge in sorted(topology.bridges.values(), key=lambda b: b.name):
         lines.append(
             f"bridge {bridge.name} {bridge.bus_a} {bridge.bus_b} "
-            f"service={bridge.service_rate!r} weight={bridge.loss_weight!r}"
+            f"service={_number(bridge.service_rate)} "
+            f"weight={_number(bridge.loss_weight)}"
         )
     for proc in sorted(topology.processors.values(), key=lambda p: p.name):
         lines.append(
             f"processor {proc.name} {proc.bus} "
-            f"service={proc.service_rate!r} weight={proc.loss_weight!r}"
+            f"service={_number(proc.service_rate)} "
+            f"weight={_number(proc.loss_weight)}"
         )
     for flow in sorted(topology.flows.values(), key=lambda f: f.name):
         traffic = flow.traffic
         if isinstance(traffic, PoissonTraffic):
-            spec = f"rate={traffic.rate!r}"
+            spec = f"rate={_number(traffic.rate)}"
         elif isinstance(traffic, OnOffTraffic):
             spec = (
-                f"onoff peak={traffic.peak_rate!r} on={traffic.mean_on!r} "
-                f"off={traffic.mean_off!r}"
+                f"onoff peak={_number(traffic.peak_rate)} "
+                f"on={_number(traffic.mean_on)} "
+                f"off={_number(traffic.mean_off)}"
             )
         elif isinstance(traffic, HyperexponentialTraffic):
             spec = (
-                f"hyper r1={traffic.rate1!r} r2={traffic.rate2!r} "
-                f"p1={traffic.phase1_prob!r}"
+                f"hyper r1={_number(traffic.rate1)} "
+                f"r2={_number(traffic.rate2)} "
+                f"p1={_number(traffic.phase1_prob)}"
             )
         else:
             raise TopologyError(

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.arch.traffic import PoissonTraffic, TrafficDescriptor
 from repro.errors import TopologyError
 
@@ -270,18 +268,27 @@ class Topology:
     # Graph queries
     # ------------------------------------------------------------------
 
-    def bus_graph(self, include_bridges: bool = True) -> nx.Graph:
-        """Undirected bus graph; edges carry ``kind``/``bridge`` attributes."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.buses)
+    def _cluster_index(self) -> Tuple[List[frozenset], Dict[str, int]]:
+        """Bus clusters and each bus's position among them.
+
+        Union-find over the links; clusters sorted by smallest bus name.
+        """
+        parent = {bus: bus for bus in self.buses}
+
+        def find(bus: str) -> str:
+            while parent[bus] != bus:
+                parent[bus] = parent[parent[bus]]
+                bus = parent[bus]
+            return bus
+
         for link in self.links:
-            graph.add_edge(link.bus_a, link.bus_b, kind="link", bridge=None)
-        if include_bridges:
-            for bridge in self.bridges.values():
-                graph.add_edge(
-                    bridge.bus_a, bridge.bus_b, kind="bridge", bridge=bridge.name
-                )
-        return graph
+            parent[find(link.bus_a)] = find(link.bus_b)
+        members: Dict[str, List[str]] = {}
+        for bus in self.buses:
+            members.setdefault(find(bus), []).append(bus)
+        clusters = sorted((frozenset(m) for m in members.values()), key=min)
+        index = {bus: i for i, c in enumerate(clusters) for bus in c}
+        return clusters, index
 
     def bus_clusters(self) -> List[frozenset]:
         """Bus clusters: components after cutting every bridge.
@@ -289,18 +296,14 @@ class Topology:
         Each cluster is one linear subsystem of the split method;
         deterministic order (by smallest bus name) for reproducibility.
         """
-        graph = self.bus_graph(include_bridges=False)
-        clusters = [frozenset(c) for c in nx.connected_components(graph)]
-        return sorted(clusters, key=lambda c: min(c))
+        return self._cluster_index()[0]
 
     def cluster_of_bus(self, bus: str) -> frozenset:
         """The cluster containing a bus."""
         if bus not in self.buses:
             raise TopologyError(f"unknown bus {bus!r}")
-        for cluster in self.bus_clusters():
-            if bus in cluster:
-                return cluster
-        raise TopologyError(f"bus {bus!r} not in any cluster")  # pragma: no cover
+        clusters, index = self._cluster_index()
+        return clusters[index[bus]]
 
     def cluster_processors(self, cluster: frozenset) -> List[Processor]:
         """Processors attached to any bus of a cluster, sorted by name."""
@@ -337,53 +340,52 @@ class Topology:
         if flow_name not in self.flows:
             raise TopologyError(f"unknown flow {flow_name!r}")
         flow = self.flows[flow_name]
-        src_cluster = self.cluster_of_bus(self.processors[flow.source].bus)
-        dst_cluster = self.cluster_of_bus(
-            self.processors[flow.destination].bus
-        )
-        if src_cluster == dst_cluster:
-            return Route(clusters=(src_cluster,), bridges=())
-        cluster_graph = nx.MultiGraph()
-        clusters = self.bus_clusters()
-        cluster_by_bus = {}
-        for cluster in clusters:
-            cluster_graph.add_node(cluster)
-            for bus in cluster:
-                cluster_by_bus[bus] = cluster
-        for bridge in sorted(self.bridges.values(), key=lambda b: b.name):
-            cluster_graph.add_edge(
-                cluster_by_bus[bridge.bus_a],
-                cluster_by_bus[bridge.bus_b],
-                key=bridge.name,
-            )
-        try:
-            node_paths = list(
-                nx.all_shortest_paths(cluster_graph, src_cluster, dst_cluster)
-            )
-        except nx.NetworkXNoPath:
+        clusters, index = self._cluster_index()
+        src = index[self.processors[flow.source].bus]
+        dst = index[self.processors[flow.destination].bus]
+        if src == dst:
+            return Route(clusters=(clusters[src],), bridges=())
+        # Cluster multigraph: one edge per bridge, so parallel bridges
+        # between the same cluster pair count as distinct paths.  A
+        # bridge inside one cluster is a self-loop no shortest path uses.
+        edges: List[List[Tuple[str, int]]] = [[] for _ in clusters]
+        for bridge in self.bridges.values():
+            a, b = index[bridge.bus_a], index[bridge.bus_b]
+            if a != b:
+                edges[a].append((bridge.name, b))
+                edges[b].append((bridge.name, a))
+        depth = {src: 0}
+        frontier = [src]
+        while frontier and dst not in depth:
+            reached = []
+            for node in frontier:
+                for _name, other in edges[node]:
+                    if other not in depth:
+                        depth[other] = depth[node] + 1
+                        reached.append(other)
+            frontier = reached
+        if dst not in depth:
             raise TopologyError(
                 f"flow {flow_name!r}: no bridge path between clusters"
-            ) from None
-        # Expand node paths into concrete bridge sequences (parallel
-        # bridges between the same cluster pair count as distinct paths).
-        candidates: List[Tuple[Tuple[frozenset, ...], Tuple[str, ...]]] = []
-        for node_path in node_paths:
-            bridge_options = [
-                sorted(cluster_graph[a][b])
-                for a, b in zip(node_path, node_path[1:])
+            )
+        # Every shortest path, grown backwards from the destination one
+        # bridge at a time through clusters one hop closer to the source.
+        candidates: List[Tuple[Tuple[int, ...], Tuple[str, ...]]] = [
+            ((dst,), ())
+        ]
+        for _hop in range(depth[dst]):
+            candidates = [
+                ((other,) + nodes, (name,) + bridges)
+                for nodes, bridges in candidates
+                for name, other in edges[nodes[0]]
+                if depth.get(other) == depth[nodes[0]] - 1
             ]
-            expansions: List[List[str]] = [[]]
-            for options in bridge_options:
-                expansions = [
-                    prefix + [key] for prefix in expansions for key in options
-                ]
-            for bridges in expansions:
-                candidates.append((tuple(node_path), tuple(bridges)))
         candidates.sort(key=lambda item: item[1])
         digest = sum(flow_name.encode("utf-8")) * 2654435761 % 2**32
-        chosen_clusters, chosen_bridges = candidates[digest % len(candidates)]
+        chosen_nodes, chosen_bridges = candidates[digest % len(candidates)]
         return Route(
-            clusters=chosen_clusters, bridges=chosen_bridges
+            clusters=tuple(clusters[node] for node in chosen_nodes),
+            bridges=chosen_bridges,
         )
 
     # ------------------------------------------------------------------

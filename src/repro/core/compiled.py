@@ -43,22 +43,41 @@ are bitwise identical to the reference assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
 
 from repro.errors import ModelError
 
+if TYPE_CHECKING:  # scipy loads on first use, not on import
+    from scipy.sparse import csc_matrix, csr_matrix
+
 # The HiGHS bindings scipy vendors for its `method="highs"` family.  They
 # expose basis warm-starting, which scipy.optimize.linprog does not.
-try:  # pragma: no cover - exercised implicitly by every LP solve
-    from scipy.optimize._highspy import _core as _highs
-    HAVE_HIGHS = True
-except Exception:  # pragma: no cover - fallback container without bindings
-    _highs = None
-    HAVE_HIGHS = False
+# Importing them loads most of scipy, so they are probed once per
+# process, on the first solve; None afterwards means "use linprog".
+_UNPROBED = object()
+_highs: Any = _UNPROBED
+
+
+def highs_bindings():
+    """The HiGHS bindings module, loaded on first call; None if unusable."""
+    global _highs
+    if _highs is _UNPROBED:
+        try:
+            from scipy.optimize._highspy import _core as _highs
+        except Exception:  # bindings missing: the linprog fallback runs
+            _highs = None
+    return _highs
+
+
+def __getattr__(name: str):
+    # ``HAVE_HIGHS`` stays a module attribute, computed on read so that
+    # importing this module does not load scipy.
+    if name == "HAVE_HIGHS":
+        return highs_bindings() is not None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +239,8 @@ class CompiledCTMDP:
         ``scipy.sparse.csr_matrix`` whose only stored entries are the
         rated transitions plus the diagonal self-loop slack.
         """
+        from scipy.sparse import csr_matrix
+
         max_exit = self.max_exit_rate
         if rate is None:
             rate = max_exit * (1.0 + 1e-9) if max_exit > 0 else 1.0
@@ -694,6 +715,10 @@ class SparseLPResult:
 
     ``status`` is ``"optimal"``, ``"infeasible"`` or ``"error"``;
     ``basis`` is an opaque warm-start token (None when unavailable).
+    ``info`` holds the solver's own report of the run (backend,
+    iteration counts per algorithm, warm-basis use and the largest
+    primal/dual infeasibility of the returned point) for tracing; no
+    result depends on it.
     """
 
     x: np.ndarray
@@ -702,9 +727,11 @@ class SparseLPResult:
     message: str
     iterations: int
     basis: object = None
+    info: Dict[str, Any] = field(default_factory=dict)
 
 
 def _run_highs(
+    highs,
     cost: np.ndarray,
     a: csc_matrix,
     row_lower: np.ndarray,
@@ -712,10 +739,10 @@ def _run_highs(
     warm_basis: object,
     solver: Optional[str],
 ) -> SparseLPResult:
-    h = _highs._Highs()
+    h = highs._Highs()
     h.setOptionValue("output_flag", False)
     n = len(cost)
-    lp = _highs.HighsLp()
+    lp = highs.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = a.shape[0]
     lp.col_cost_ = np.asarray(cost, dtype=float)
@@ -723,7 +750,7 @@ def _run_highs(
     lp.col_upper_ = np.full(n, np.inf)
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = a.indptr
     lp.a_matrix_.index_ = a.indices
     lp.a_matrix_.value_ = a.data
@@ -734,20 +761,21 @@ def _run_highs(
         h.setOptionValue("solver", solver)
     h.run()
     status = h.getModelStatus()
-    if status == _highs.HighsModelStatus.kOptimal:
+    if status == highs.HighsModelStatus.kOptimal:
         kind = "optimal"
     elif status in (
-        _highs.HighsModelStatus.kInfeasible,
-        _highs.HighsModelStatus.kUnboundedOrInfeasible,
+        highs.HighsModelStatus.kInfeasible,
+        highs.HighsModelStatus.kUnboundedOrInfeasible,
     ):
         kind = "infeasible"
     else:
         kind = "error"
     info = h.getInfo()
-    iterations = int(
-        max(info.simplex_iteration_count, 0)
-        + max(info.ipm_iteration_count, 0)
-    )
+    counts = {
+        "ipm_iterations": max(info.ipm_iteration_count, 0),
+        "simplex_iterations": max(info.simplex_iteration_count, 0),
+        "crossover_iterations": max(info.crossover_iteration_count, 0),
+    }
     sol = h.getSolution()
     x = np.asarray(sol.col_value) if kind == "optimal" else np.zeros(n)
     return SparseLPResult(
@@ -755,8 +783,17 @@ def _run_highs(
         objective=float(h.getObjectiveValue()) if kind == "optimal" else 0.0,
         status=kind,
         message=h.modelStatusToString(status),
-        iterations=iterations,
+        iterations=int(
+            counts["simplex_iterations"] + counts["ipm_iterations"]
+        ),
         basis=h.getBasis() if kind == "optimal" else None,
+        info={
+            "backend": "highs",
+            **counts,
+            "warm_basis": warm_basis is not None,
+            "max_primal_infeasibility": float(info.max_primal_infeasibility),
+            "max_dual_infeasibility": float(info.max_dual_infeasibility),
+        },
     )
 
 
@@ -776,6 +813,7 @@ def solve_sparse_lp(
     plain simplex run on non-infeasible failures.  Without the bindings
     it degrades to ``scipy.optimize.linprog`` (no warm starts).
     """
+    global _highs
     from scipy.sparse import vstack
 
     if a_ub is not None and a_ub.shape[0] > 0:
@@ -789,21 +827,24 @@ def solve_sparse_lp(
         row_lower = np.asarray(b_eq, dtype=float)
         row_upper = np.asarray(b_eq, dtype=float)
 
-    if HAVE_HIGHS:
+    highs = highs_bindings()
+    if highs is not None:
         try:
             result = _run_highs(
-                cost, a, row_lower, row_upper, warm_basis, "ipm"
+                highs, cost, a, row_lower, row_upper, warm_basis, "ipm"
             )
             if result.status == "error":
                 # Mirror scipy-path behaviour: retry with (cold) simplex.
-                result = _run_highs(cost, a, row_lower, row_upper, None, None)
+                result = _run_highs(
+                    highs, cost, a, row_lower, row_upper, None, None
+                )
             return result
         except (AttributeError, TypeError):
             # The vendored bindings are private scipy API; if a scipy
             # upgrade drifts them (module imports but members renamed),
-            # degrade to the public linprog path below instead of
-            # crashing every solve.
-            pass
+            # record that once and degrade to the public linprog path
+            # below for this and every later solve.
+            _highs = None
 
     # Fallback: scipy linprog, IPM first then simplex — the historical
     # BlockLP behaviour.  No warm starts are possible on this path.
@@ -841,4 +882,5 @@ def solve_sparse_lp(
         message=str(result.message),
         iterations=int(getattr(result, "nit", 0) or 0),
         basis=None,
+        info={"backend": "linprog", "warm_basis": False},
     )

@@ -41,15 +41,17 @@ cost once and warm-starts every subsequent solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.core.compiled import SparseLPResult, solve_sparse_lp
 from repro.core.ctmdp import CTMDP, Action, State
 from repro.core.policy import StationaryPolicy, policy_from_occupation_measure
 from repro.errors import InfeasibleError, SolverError
+
+if TYPE_CHECKING:  # scipy loads on first assembly, not on import
+    from scipy.sparse import csr_matrix
 
 
 @dataclass
@@ -164,6 +166,9 @@ class BlockProgram:
             Tuple[object, np.ndarray, np.ndarray, float]
         ] = []
         self._basis = None
+        #: The backend's report of the most recent solve
+        #: (:attr:`SparseLPResult.info`), for tracing only.
+        self.last_info: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
 
@@ -219,6 +224,8 @@ class BlockProgram:
     # ------------------------------------------------------------------
 
     def _assemble_equalities(self) -> Tuple[csr_matrix, np.ndarray]:
+        from scipy.sparse import csr_matrix
+
         rows: List[np.ndarray] = []
         cols: List[np.ndarray] = []
         vals: List[np.ndarray] = []
@@ -260,6 +267,8 @@ class BlockProgram:
         Optional[np.ndarray],
         List[Tuple[object, np.ndarray, np.ndarray]],
     ]:
+        from scipy.sparse import csr_matrix
+
         ub_rows: List[Tuple[object, np.ndarray, np.ndarray, float]] = []
         for key, names, bound in self._vector_rows:
             cols_parts: List[np.ndarray] = []
@@ -345,6 +354,7 @@ class BlockProgram:
             b_ub,
             warm_basis=self._basis if warm else None,
         )
+        self.last_info = result.info
         if result.status == "infeasible":
             raise InfeasibleError(
                 "occupation-measure LP is infeasible: " + result.message,

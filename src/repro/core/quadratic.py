@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.arch.topology import Topology
 from repro.core.splitting import SplitSystem, split
@@ -297,6 +296,8 @@ class QuadraticCoupledSizer:
             (f.rate for f in topology.flows.values()), default=1.0
         ) * max(len(topology.flows), 1)
         bounds = [(0.0, 1.0)] * num_pi + [(0.0, max_rate)] * num_rates
+
+        from scipy.optimize import minimize
 
         num_eq = residuals(x0).size
         start = time.perf_counter()

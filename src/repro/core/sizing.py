@@ -756,6 +756,8 @@ class BufferSizer:
                         bound_used,
                         lp_iterations,
                     ) = program.solve_adaptive(initial_bound)
+                    for key, value in program.program.last_info.items():
+                        lp_span.set(key, value)
                 obs.counter("solver.lp_solves").inc()
                 marginals = {
                     name: self._extend_marginal(marg, self.total_budget)

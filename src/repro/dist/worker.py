@@ -49,6 +49,7 @@ from multiprocessing import AuthenticationError
 from typing import Optional
 
 from repro import obs
+from repro.core.compiled import highs_bindings
 from repro.errors import ReproError
 from repro.faults import injector as faults
 from repro.retry import DEFAULT_RETRY, RetryPolicy
@@ -232,6 +233,9 @@ def worker_loop(
         raise ReproError(f"max_idle must be >= 0, got {max_idle}")
     faults.install_from_env()
     obs.install_from_env()
+    # Arrive warm: load the LP solver bindings (most of scipy) before
+    # the broker can count this worker, so no job absorbs the import.
+    highs_bindings()
     address = parse_address(address)
     worker_id = worker_id or default_worker_id()
 
