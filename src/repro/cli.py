@@ -119,7 +119,6 @@ def _context_from_args(
         cache_max_mb=getattr(args, "cache_max_mb", None),
         dist=getattr(args, "dist", None),
         dist_authkey=getattr(args, "authkey", None),
-        dist_schedule=getattr(args, "schedule", None),
         progress=(
             _progress_printer()
             if getattr(args, "progress", False)
@@ -166,13 +165,6 @@ def _add_runtime_flags(
         "arbiters, statistically equivalent for randomised ones)",
     )
     parser.add_argument(
-        "--sim-jit",
-        action="store_true",
-        help="prefer the numba-jitted mega-batch kernel when numba is "
-        "importable (sets REPRO_SIM_JIT=1; falls back to the C "
-        "engine, else the batched lane — never changes any number)",
-    )
-    parser.add_argument(
         "--dist",
         default=None,
         metavar="HOST:PORT",
@@ -185,15 +177,6 @@ def _add_runtime_flags(
         default=None,
         help="shared fleet secret for --dist (must match 'repro dist "
         "serve'; default: the fleet default)",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("fifo", "cost"),
-        default=None,
-        help="fleet dispatch policy for --dist: 'cost' = cost-model "
-        "longest-predicted-first with sized leases, 'fifo' = arrival "
-        "order (default: the broker's own policy); cannot change any "
-        "result",
     )
     parser.add_argument(
         "--progress",
@@ -412,23 +395,22 @@ def _cmd_dist_serve(args: argparse.Namespace) -> int:
         authkey=args.authkey.encode("utf-8"),
         lease_timeout=args.lease_timeout,
         cache_max_bytes=int(args.cache_max_mb * 1024 * 1024),
-        schedule=args.schedule,
         cost_model_path=args.cost_model,
         **server_kwargs,
     )
     host, port = server.address
     log.info(f"repro dist broker listening on {host}:{port}")
     http_server = None
-    if args.http is not None:
-        from repro.obs.server import LocalBrokerSource, ObsServer
-
-        http_server = ObsServer(
-            LocalBrokerSource(server.broker),
-            host=args.http_host,
-            port=args.http,
-            interval=args.http_interval,
-        ).start_in_thread()
     try:
+        if args.http is not None:
+            from repro.obs.server import LocalBrokerSource, ObsServer
+
+            http_server = ObsServer(
+                LocalBrokerSource(server.broker),
+                host=args.http_host,
+                port=args.http,
+                interval=args.http_interval,
+            ).start_in_thread()
         server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -521,13 +503,12 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             authkey=args.authkey.encode("utf-8"),
             timeout=args.timeout,
             on_broker_loss=args.on_broker_loss,
-            schedule=args.schedule,
         )
     if executor is not None and journal is not None:
-        # Warm-start the broker's cost model from the journal: a
-        # resumed (or repeated) run schedules with the runtimes the
-        # first attempt observed.  Advisory only — a missing or stale
-        # file costs predictions, never results.
+        # Seed the broker's cost model from the journal: the rates the
+        # first attempt observed carry forward, and a key predicts once
+        # this broker has completed one of its jobs.  Advisory only —
+        # a missing or stale file costs predictions, never results.
         model_path = journal.costmodel_path()
         if model_path.exists():
             import json as json_module
@@ -579,7 +560,7 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
         )
     if executor is not None and journal is not None:
         # Snapshot the refined model back so the next run (or a
-        # resume after a kill) warm-starts its schedule.
+        # resume after a kill) starts from its rates.
         import json as json_module
 
         try:
@@ -651,7 +632,6 @@ def _cmd_dist_chaos(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         workers=args.workers,
         log_dir=args.log_dir,
-        schedule=args.schedule,
     )
     print(report.render())
     if args.json:
@@ -870,20 +850,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound of the broker's in-memory shared cache store (MiB)",
     )
     p_serve.add_argument(
-        "--schedule", choices=("fifo", "cost"), default="fifo",
-        help="default dispatch policy: 'fifo' = arrival order, "
-        "'cost' = cost-model longest-predicted-first with sized "
-        "leases (drivers can override per batch)",
-    )
-    p_serve.add_argument(
         "--lease-target", type=float, default=None,
-        help="predicted seconds of work granted per lease under "
-        "'cost' (default 0.5)",
+        help="predicted seconds of work granted per lease to jobs the "
+        "broker has seen (default 0.5)",
     )
     p_serve.add_argument(
         "--cost-model", default=None, metavar="PATH",
-        help="persist/warm-start the runtime cost model at this JSON "
-        "path (loaded on start, saved periodically and on shutdown)",
+        help="persist the runtime cost model at this JSON path (loaded "
+        "on start, saved periodically and on shutdown); a loaded rate "
+        "predicts once the broker has completed a job of its key",
     )
     p_serve.add_argument(
         "--http", type=int, default=None, metavar="PORT",
@@ -959,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SIM_BACKENDS,
         default="batched",
     )
-    p_run.add_argument("--sim-jit", action="store_true")
     p_run.add_argument(
         "--block-reps", type=int, default=1,
         help="replications per job block (smaller = more stealable "
@@ -998,13 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an existing --journal: journaled blocks are "
         "reused without recomputing (the matrix configuration must "
         "be identical)",
-    )
-    p_run.add_argument(
-        "--schedule", choices=("fifo", "cost"), default=None,
-        help="fleet dispatch policy: 'cost' = cost-model "
-        "longest-predicted-first with sized leases, 'fifo' = arrival "
-        "order (default: the broker's own policy); by the determinism "
-        "contract this cannot change any result",
     )
     p_run.add_argument(
         "--on-broker-loss", choices=("fallback", "fail"),
@@ -1057,7 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SIM_BACKENDS,
         default="batched",
     )
-    p_chaos.add_argument("--sim-jit", action="store_true")
     p_chaos.add_argument("--block-reps", type=int, default=1)
     p_chaos.add_argument(
         "--fault", action="append", default=None, metavar="PLAN",
@@ -1077,11 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2,
         help="fleet size of the 'dist' mode (the first worker gets "
         "the fault plan)",
-    )
-    p_chaos.add_argument(
-        "--schedule", choices=("fifo", "cost"), default=None,
-        help="dispatch policy of the 'dist' mode (determinism must "
-        "hold under either; default: the broker's own policy)",
     )
     p_chaos.add_argument(
         "--log-dir", default=None, metavar="DIR",
@@ -1166,8 +1127,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sim_jit", False):
-        os.environ["REPRO_SIM_JIT"] = "1"
     trace_path = _apply_obs_args(args)
     try:
         return args.func(args)

@@ -10,11 +10,12 @@ of worker count, steal order, or worker death mid-job:
 * :mod:`repro.dist.queue` — the broker: a work-stealing job queue over
   TCP (stdlib ``multiprocessing.managers``; no new dependencies) with
   heartbeats, dead-worker reaping, the shared cache store, the
-  ``schedule="fifo"|"cost"`` dispatch policy and its three-call worker
-  protocol (``lease_jobs`` · ``start`` · ``complete_many``);
+  dispatch rule (unseen jobs first in arrival order, seen jobs
+  longest-predicted-first) and its three-call worker protocol
+  (``lease_jobs`` · ``start`` · ``complete_many``);
 * :mod:`repro.dist.costmodel` — :class:`CostModel`, the per-job
-  runtime predictor (bench-seeded, EWMA-refined, JSON-persisted)
-  behind cost scheduling and adaptive lease sizing;
+  runtime predictor (EWMA-refined, JSON-persisted) behind LPT
+  dispatch and adaptive lease sizing;
 * :mod:`repro.dist.worker` — the worker loop (``repro dist worker``);
 * :mod:`repro.dist.executor` — :class:`DistExecutor`, the driver-side
   handle that plugs into :class:`~repro.exec.ExecutionContext` behind

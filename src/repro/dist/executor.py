@@ -81,14 +81,6 @@ class DistExecutor:
     poll_max:
         Cap on the backed-off poll interval (default
         ``max(0.5, poll_interval)``).
-    schedule:
-        Per-batch scheduling policy shipped with every submit:
-        ``"cost"`` orders the batch longest-predicted-first and sizes
-        worker leases from the broker's cost model, ``"fifo"`` forces
-        arrival order, ``None`` (default) defers to the broker's own
-        configured policy.  Scheduling changes *when* jobs run, never
-        what :meth:`map` returns — the merge is by submission index
-        either way.
     timeout:
         Optional overall bound per :meth:`map` call; ``None`` waits as
         long as live workers exist (long fleet runs legitimately take
@@ -126,18 +118,12 @@ class DistExecutor:
         retry: RetryPolicy = DEFAULT_RETRY,
         on_broker_loss: str = "fallback",
         fallback_jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
         poll_max: Optional[float] = None,
     ) -> None:
         if on_broker_loss not in ("fallback", "fail"):
             raise ReproError(
                 f"on_broker_loss must be 'fallback' or 'fail', got "
                 f"{on_broker_loss!r}"
-            )
-        if schedule not in (None, "fifo", "cost"):
-            raise ReproError(
-                f"schedule must be 'fifo', 'cost' or None, got "
-                f"{schedule!r}"
             )
         self.address = parse_address(address)
         self.authkey = authkey
@@ -147,7 +133,6 @@ class DistExecutor:
             if poll_max is not None
             else max(0.5, self.poll_interval)
         )
-        self.schedule = schedule
         self.timeout = timeout
         self.no_worker_grace = float(no_worker_grace)
         self.retry = retry
@@ -276,19 +261,18 @@ class DistExecutor:
         """The broker's cost-model state (``CostModel.to_state``).
 
         Drivers persist this next to their journal so a later fleet
-        warm-starts scheduling with the rates this run observed.
+        starts from the rates this run observed.
         """
         return self._rpc(
             "cost snapshot", lambda b: b.cost_snapshot(), none_is_loss=True
         )
 
     def cost_seed(self, state: dict) -> bool:
-        """Seed the broker's cost model before submitting.
+        """Seed the broker's cost model from a :meth:`cost_snapshot`.
 
-        Accepts either a prior :meth:`cost_snapshot` state or a
-        ``BENCH_*.json`` pytest-benchmark document; returns whether
-        the broker absorbed anything.  Purely advisory — predictions
-        shape dispatch order and lease sizes, never results.
+        Returns whether the broker absorbed the state.  Purely advisory
+        — predictions shape dispatch order and lease sizes, never
+        results.
         """
         return self._rpc("cost seed", lambda b: b.cost_seed(state))
 
@@ -349,12 +333,7 @@ class DistExecutor:
 
         def _submit(b):
             faults.fire("executor.submit", batch_id=batch_id)
-            return b.submit(
-                batch_id,
-                payloads,
-                features=features,
-                schedule=self.schedule,
-            )
+            return b.submit(batch_id, payloads, features=features)
 
         self._rpc("batch submit", _submit)
         deadline = (

@@ -201,7 +201,6 @@ def run_matrix(
     executor: Optional[Any] = None,
     on_result: Optional[Callable[[int, BlockOutcome], None]] = None,
     journal: Optional[Any] = None,
-    schedule: Optional[str] = None,
 ) -> FleetOutcome:
     """Run one scenario×budget×replication matrix, merged by cell.
 
@@ -212,14 +211,6 @@ def run_matrix(
     completed blocks in submission order.  ``sim_backend`` takes the
     values of :func:`build_matrix`.
 
-    ``schedule`` ("fifo" or "cost") sets the fleet scheduling policy
-    on the executor for this matrix: "cost" dispatches cells
-    longest-predicted-first from the broker's cost model, which cuts
-    the makespan of skewed matrices (see docs/distributed.md,
-    Scheduling).  Dispatch order is invisible in the outcome — the
-    merge stays by submission index, so the bitwise contract above is
-    unaffected.  Ignored for local runs, which are already ordered.
-
     ``journal`` (a :class:`~repro.dist.journal.RunJournal`) makes the
     run resumable: it is bound to this matrix configuration (resume
     validates the config hash), already-journaled blocks are reused
@@ -228,8 +219,6 @@ def run_matrix(
     at most the blocks in flight.  ``on_result`` still fires for every
     block, journaled or fresh, in global submission order.
     """
-    if schedule is not None and executor is not None:
-        executor.schedule = schedule
     payloads = build_matrix(
         scenario_names,
         budgets=budgets,

@@ -198,8 +198,7 @@ class RunJournal:
         """Where this journal persists the scheduler's cost model.
 
         The journal directory is the natural home: a resumed run
-        should warm-start scheduling with the rates the first attempt
-        observed.  ``repro dist run --journal --schedule cost`` seeds
+        starts from the rates the first attempt observed.  ``repro dist run --dist ... --journal`` seeds
         the broker from this file before submitting and snapshots the
         refined model back after the run (see the CLI); the file is a
         plain :meth:`repro.dist.costmodel.CostModel.to_state` JSON, so

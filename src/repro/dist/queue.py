@@ -16,12 +16,12 @@ Queue semantics
   over the central queue make prefetched-but-unstarted jobs
   *stealable*: an idle worker whose lease finds the queue empty steals
   an unstarted lease from the most-loaded worker instead of idling.
-  Under ``schedule="cost"`` the broker *sizes* the lease from predicted
-  runtimes (enough work to amortise the RPC, little enough that steals
-  stay cheap) and may *pin* an all-cheap lease — pre-marking its jobs
-  started so the worker skips the per-job ``start()`` round-trips (a
-  reaped pinned lease is re-enqueued like any other; duplicate
-  completions are idempotent).
+  Jobs the cost model has a prediction for get a lease *sized* from
+  predicted runtimes (enough work to amortise the RPC, little enough
+  that steals stay cheap), and an all-cheap lease may be *pinned* —
+  pre-marking its jobs started so the worker skips the per-job
+  ``start()`` round-trips (a reaped pinned lease is re-enqueued like
+  any other; duplicate completions are idempotent).
 * **start** — a worker announces it is about to execute a leased job.
   ``False`` means the job was stolen or reassigned in the meantime; the
   worker just skips it (the thief runs it), so no job ever runs twice
@@ -50,6 +50,7 @@ clock, so multi-host fleets need no cross-host clock agreement.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import struct
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 from multiprocessing.managers import BaseManager, Server
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.dist.costmodel import CostModel
+from repro.dist.costmodel import CostModel, feature_key
 from repro.errors import ReproError
 from repro.faults import injector as faults
 from repro.obs.history import SnapshotHistory
@@ -101,14 +102,21 @@ LEASE_MAX_JOBS = 32
 JobId = Tuple[str, int]
 
 
+def check_port(port: int) -> int:
+    """``port`` if it is a TCP port number (0 = ephemeral), else raise."""
+    if not 0 <= port <= 65535:
+        raise ReproError(f"port must be in 0..65535, got {port}")
+    return port
+
+
 def parse_address(address) -> Tuple[str, int]:
     """Coerce ``"host:port"`` (or an ``(host, port)`` pair) to a pair."""
     if isinstance(address, (tuple, list)) and len(address) == 2:
-        return str(address[0]), int(address[1])
+        return str(address[0]), check_port(int(address[1]))
     if isinstance(address, str):
         host, sep, port = address.rpartition(":")
         if sep and host and port.isdigit():
-            return host, int(port)
+            return host, check_port(int(port))
     raise ReproError(
         f"broker address must be 'host:port' or (host, port), "
         f"got {address!r}"
@@ -179,7 +187,6 @@ class Broker:
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
         clock: Callable[[], float] = time.monotonic,
         batch_ttl: Optional[float] = None,
-        schedule: str = "fifo",
         lease_target: float = DEFAULT_LEASE_TARGET,
         cost_model: Optional[CostModel] = None,
         cost_model_path: Optional[str] = None,
@@ -189,23 +196,22 @@ class Broker:
             raise ReproError(
                 f"lease_timeout must be > 0, got {lease_timeout}"
             )
-        if schedule not in ("fifo", "cost"):
-            raise ReproError(
-                f"schedule must be 'fifo' or 'cost', got {schedule!r}"
-            )
         if lease_target <= 0:
             raise ReproError(
                 f"lease_target must be > 0, got {lease_target}"
             )
         self.lease_timeout = float(lease_timeout)
-        self.schedule = schedule
         self.lease_target = float(lease_target)
-        # The scheduler's runtime predictor: warm-started from a saved
-        # state when `cost_model_path` exists, refined by every
-        # completion (FIFO mode included — observing is free and makes
-        # the *next* cost-scheduled fleet start warm), and periodically
-        # re-persisted to the same path.
+        # The scheduler's runtime predictor: loaded from a saved state
+        # when `cost_model_path` exists, refined by every
+        # completion, and periodically re-persisted to the same path.
         self.cost_model = cost_model if cost_model is not None else CostModel()
+        # Model keys this broker has completed a job of: only these are
+        # predicted.  A loaded or journal-seeded rate was learned on a
+        # shared cache that died with its broker; here every cell's
+        # first block pays the sizing again, and dispatching such a
+        # batch by cost sizes both blocks of a cell at once.
+        self._observed_keys: set = set()
         self.cost_model_path = cost_model_path
         if cost_model_path is not None:
             self.cost_model.load(cost_model_path)
@@ -227,11 +233,9 @@ class Broker:
         self._payloads: Dict[JobId, JobPayload] = {}
         self._leases: Dict[JobId, str] = {}  # job id -> worker id
         self._started: set = set()  # leased jobs whose execution began
-        # Scheduler state: per-job features/predictions (cost batches
-        # only predict; features are kept for every batch that shipped
-        # them, so completions train the model under either policy) and
-        # start times for the runtime fallback when a completion
-        # arrives without a worker-measured runtime.
+        # Scheduler state: per-job features, predictions (only for jobs
+        # this broker has seen) and start times for the runtime fallback
+        # when a completion arrives without a worker-measured runtime.
         self._features: Dict[JobId, Optional[Dict[str, Any]]] = {}
         self._predicted: Dict[JobId, float] = {}
         self._started_at: Dict[JobId, float] = {}
@@ -259,6 +263,7 @@ class Broker:
         self._c_lease_jobs = self.metrics.counter("broker.lease_jobs")
         self._c_lease_resize = self.metrics.counter("broker.lease_resize")
         self._c_pinned_leases = self.metrics.counter("broker.pinned_leases")
+        self._c_predicted_jobs = self.metrics.counter("broker.predicted_jobs")
         self._c_batched_uploads = self.metrics.counter(
             "broker.batched_uploads"
         )
@@ -288,43 +293,44 @@ class Broker:
         batch_id: str,
         payloads: List[JobPayload],
         features: Optional[List[Optional[Dict[str, Any]]]] = None,
-        schedule: Optional[str] = None,
     ) -> int:
         """Register one ordered batch of jobs; returns the batch size.
 
         ``features`` (parallel to ``payloads``) are the driver-extracted
         scheduler features — the broker never introspects payloads.
-        ``schedule`` overrides
-        the broker's default policy for this batch; under ``"cost"``
-        the batch is *enqueued* longest-predicted-first (LPT), while
-        job ids, result indices and the driver's merge order stay the
-        submission order — dispatch order is scheduling, not
-        semantics.  Python's sort is stable, so jobs the model cannot
-        tell apart keep their submission order and a cold-start cost
-        batch dispatches exactly like FIFO.
+        Every job is predicted: jobs of a model key this broker has
+        not completed yet (prediction ``None``) are *enqueued* first,
+        in arrival order, then the seen ones longest-predicted-first
+        (LPT).  Job ids, result indices and the driver's merge order
+        stay the submission order — dispatch order is scheduling, not
+        semantics.  Python's
+        sort is stable, so an all-unseen batch dispatches in arrival
+        order and seen jobs the model cannot tell apart keep theirs.
         """
-        if schedule is not None and schedule not in ("fifo", "cost"):
-            raise ReproError(
-                f"schedule must be 'fifo' or 'cost', got {schedule!r}"
-            )
         with self._lock:
             if batch_id in self._batch_totals:
                 raise ReproError(f"batch {batch_id!r} already submitted")
             self._batch_totals[batch_id] = len(payloads)
             self._results[batch_id] = {}
             self._batch_polled[batch_id] = self._clock()
-            policy = schedule if schedule is not None else self.schedule
             order = list(range(len(payloads)))
             if features is not None and len(features) == len(payloads):
                 for index in order:
                     self._features[(batch_id, index)] = features[index]
-            if policy == "cost":
-                for index in order:
-                    job_id = (batch_id, index)
-                    self._predicted[job_id] = self.cost_model.predict(
-                        self._features.get(job_id)
-                    )
-                order.sort(key=lambda i: -self._predicted[(batch_id, i)])
+            for index in order:
+                job_id = (batch_id, index)
+                job_features = self._features.get(job_id)
+                if not job_features or (
+                    feature_key(job_features) not in self._observed_keys
+                ):
+                    continue
+                predicted = self.cost_model.predict(job_features)
+                if predicted is not None:
+                    self._predicted[job_id] = predicted
+                    self._c_predicted_jobs.inc()
+            order.sort(
+                key=lambda i: -self._predicted.get((batch_id, i), math.inf)
+            )
             for index in order:
                 job_id = (batch_id, index)
                 self._payloads[job_id] = payloads[index]
@@ -337,13 +343,13 @@ class Broker:
         """Lease jobs to one worker (steals if idle); may size and pin.
 
         Returns ``{"jobs": [(job_id, payload), ...], "pinned": bool}``.
-        For plain FIFO jobs this grants at most ``max_jobs``; when the
-        queue is empty it steals one unstarted job from the most-loaded
-        worker instead.  Jobs carrying a cost prediction are granted
-        until their predicted runtimes sum past ``lease_target`` (or
-        :data:`LEASE_MAX_JOBS`): long jobs lease alone, cheap jobs
-        lease in bulk, and either way one lease RPC hands out
-        ≈``lease_target`` seconds of work.
+        For jobs without a prediction this grants at most ``max_jobs``;
+        when the queue is empty it steals one unstarted job from the
+        most-loaded worker instead.  Jobs carrying a cost prediction
+        are granted until their predicted runtimes sum past
+        ``lease_target`` (or :data:`LEASE_MAX_JOBS`): long jobs lease
+        alone, cheap jobs lease in bulk, and either way one lease RPC
+        hands out ≈``lease_target`` seconds of work.
 
         A lease whose jobs are all predicted-cheap (total ≤
         ``lease_target``) comes back **pinned**: the broker marks the
@@ -490,12 +496,15 @@ class Broker:
         results[index] = result
         self._c_completed.inc()
         if observed is not None:
+            features = self._features.get(job_id)
             self._h_runtime.observe(observed)
             self.cost_model.observe(
-                self._features.get(job_id),
+                features,
                 observed,
                 predicted=self._predicted.get(job_id),
             )
+            if features:
+                self._observed_keys.add(feature_key(features))
             self._maybe_save_cost_model()
         self._forget_job(job_id)
 
@@ -522,15 +531,13 @@ class Broker:
             return self.cost_model.to_state()
 
     def cost_seed(self, state: Dict[str, Any]) -> bool:
-        """Warm-start the model from a driver-supplied state or bench.
+        """Warm-start the model from a driver-supplied state.
 
-        Accepts either a :meth:`CostModel.to_state` snapshot (journaled
-        by a previous ``repro dist run``) or a pytest-benchmark JSON
-        dict (``BENCH_*.json``) to seed scenario priors from.
+        ``state`` is a :meth:`CostModel.to_state` snapshot (journaled by
+        a previous ``repro dist run``); anything else is ignored
+        (``False``).
         """
         with self._lock:
-            if isinstance(state, dict) and "benchmarks" in state:
-                return self.cost_model.seed_from_bench(state) > 0
             return self.cost_model.from_state(state)
 
     def cost_save(self) -> bool:
@@ -598,7 +605,6 @@ class Broker:
         with self._lock:
             return {
                 "lease_timeout": self.lease_timeout,
-                "schedule": self.schedule,
                 "lease_target": self.lease_target,
             }
 
@@ -622,7 +628,7 @@ class Broker:
             "steals": self._c_steals.value,
             "reaped_jobs": self._c_reaped.value,
             "dropped_batches": self._c_dropped.value,
-            "schedule": self.schedule,
+            "predicted_jobs": self._c_predicted_jobs.value,
             "lease_grants": self._c_lease_grants.value,
             "lease_jobs": self._c_lease_jobs.value,
             "lease_resizes": self._c_lease_resize.value,
@@ -641,7 +647,6 @@ class Broker:
         completed = self._c_completed.value
         batched = self._c_batched_jobs.value
         return {
-            "schedule": self.schedule,
             "lease_target": self.lease_target,
             "cost": self.cost_model.stats(),
             "mean_lease_size": (
@@ -965,15 +970,14 @@ class BrokerServer:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
         batch_ttl: Optional[float] = None,
-        schedule: str = "fifo",
         lease_target: float = DEFAULT_LEASE_TARGET,
         cost_model_path: Optional[str] = None,
     ) -> None:
+        check_port(port)
         self.broker = Broker(
             lease_timeout=lease_timeout,
             cache_max_bytes=cache_max_bytes,
             batch_ttl=batch_ttl,
-            schedule=schedule,
             lease_target=lease_target,
             cost_model_path=cost_model_path,
         )

@@ -113,8 +113,8 @@ def parallel_map(
     obs.counter("pool.jobs").inc(len(job_list))
     if executor is not None:
         # Fleet path: the executor owns dispatch — including the
-        # cost-model LPT schedule and lease sizing when it carries
-        # ``schedule="cost"`` (see repro.dist.costmodel) — but merges
+        # broker's cost-model LPT order and lease sizing for jobs it
+        # has seen (see repro.dist.costmodel) — but merges
         # by submission index, so the determinism contract above is
         # its contract too.  Counted separately from local maps so
         # `repro obs dump` shows how much work left the host.

@@ -189,7 +189,6 @@ def _run_dist_mode(
     workers: int,
     log_path: Optional[Path],
     matrix_kwargs,
-    schedule: Optional[str] = None,
 ) -> Tuple[Any, FaultInjector, int]:
     from repro.dist.executor import DistExecutor
     from repro.dist.fleet import run_matrix
@@ -265,14 +264,15 @@ def _run_dist_mode(
             no_worker_grace=60,
             on_broker_loss="fallback",
             fallback_jobs=1,
-            schedule=schedule,
         )
         if any(event.site in _CACHE_SITES for event in plan.events):
             # Warm pass: populate worker caches and the broker's shared
             # store with clean blobs, so the measured pass below
             # actually *reads* (and the plan corrupts those reads).
             # Corruption strikes lookups only, so the warm pass stores
-            # pristine bytes even with the plan active.
+            # pristine bytes even with the plan active.  It also has
+            # the broker complete every job once, so the measured pass
+            # dispatches from predictions (LPT, sized leases).
             run_matrix(executor=executor, **matrix_kwargs)
         outcome = run_matrix(
             executor=executor,
@@ -306,7 +306,6 @@ def run_chaos_matrix(
     jobs: int = 2,
     workers: int = 2,
     log_dir: Optional[Any] = None,
-    schedule: Optional[str] = None,
 ) -> ChaosReport:
     """Run the fault matrix; every cell must reproduce the reference.
 
@@ -315,10 +314,7 @@ def run_chaos_matrix(
     ``plans`` defaults to
     :func:`~repro.faults.plan.standard_plans`, ``modes`` selects the
     execution lanes, and ``log_dir`` (optional) collects one fault log
-    per (plan, mode) case.  ``schedule`` sets the dist lane's fleet
-    scheduling policy (``"cost"`` exercises LPT ordering, sized and
-    pinned leases, and batched uploads under every fault plan — the
-    scheduler's own determinism gate).
+    per (plan, mode) case.
     """
     bad = [mode for mode in modes if mode not in ("serial", "jobs", "dist")]
     if bad:
@@ -349,8 +345,7 @@ def run_chaos_matrix(
             )
             if mode == "dist":
                 jsonable, injector, fallbacks = _run_dist_mode(
-                    plan, workers, log_path, matrix_kwargs,
-                    schedule=schedule,
+                    plan, workers, log_path, matrix_kwargs
                 )
             else:
                 jsonable, injector, fallbacks = _run_local_mode(

@@ -138,10 +138,10 @@ def render_top(
         mean_lease = scheduler.get("mean_lease_size")
         ratio = scheduler.get("batched_ratio")
         lines.append(
-            "scheduler: %s  pred-err %s  mean-lease %s  resizes %d  "
-            "pinned %d"
+            "scheduler: predicted %d  pred-err %s  mean-lease %s  "
+            "resizes %d  pinned %d"
             % (
-                scheduler.get("schedule", "?"),
+                queue.get("predicted_jobs", 0),
                 "%.0f%%" % (100.0 * err) if err is not None else "-",
                 "%.1f" % mean_lease if mean_lease is not None else "-",
                 scheduler.get("lease_resizes", 0),

@@ -49,6 +49,7 @@ _QUEUE_COUNTERS = (
     "steals",
     "reaped_jobs",
     "dropped_batches",
+    "predicted_jobs",
     "lease_grants",
     "lease_jobs",
     "lease_resizes",
@@ -177,7 +178,7 @@ def render_prometheus(
 
     for key, value in snapshot.get("scheduler", {}).items():
         if not _is_number(value):
-            continue  # schedule strings, None ratios, the cost sub-dict
+            continue  # None ratios, the cost sub-dict
         name = "repro_scheduler_%s" % _sanitize(key)
         out.family(name, "gauge", "Cost scheduler gauge: %s." % key)
         out.sample(name, value)

@@ -141,11 +141,13 @@ class ObsServer:
         interval: float = DEFAULT_INTERVAL,
         stale_after: Optional[float] = None,
     ) -> None:
+        from repro.dist.queue import check_port
+
         if interval <= 0:
             raise ReproError(f"interval must be > 0, got {interval}")
         self.source = source
         self.host = host
-        self.port = port
+        self.port = check_port(port)
         self.interval = float(interval)
         self.stale_after = (
             float(stale_after)

@@ -19,7 +19,7 @@ drain loop with a leading replication axis ``R``:
 The function body is restricted to scalar arithmetic and array
 subscripts so the *same source* runs three ways: interpreted (the
 always-available correctness oracle), under ``numba.njit`` when
-``REPRO_SIM_JIT=1`` and numba is importable, and as the reference for
+``REPRO_SIM_ENGINE=numba`` and numba is importable, and as the reference for
 the C transliteration in :mod:`repro.sim._mbcc` (kept in sync by the
 engine cross-equality tests).
 

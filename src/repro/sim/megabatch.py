@@ -23,10 +23,10 @@ batched lane ``R`` times:
   event calendar is a fixed ``(R, S + B)`` array (see
   :mod:`repro.sim._mbkernel`).
 
-Three interchangeable engines execute the same kernel — ``numba``
-(``REPRO_SIM_JIT=1``, only when numba is importable), ``cc`` (the
-:mod:`repro.sim._mbcc` C build, default when a system compiler exists)
-and ``python``, the interpreted scalar kernel kept as the correctness
+Three interchangeable engines execute the same kernel — ``cc`` (the
+:mod:`repro.sim._mbcc` C build, picked when a system compiler exists),
+``numba`` (``REPRO_SIM_ENGINE=numba``, when numba is importable) and
+``python``, the interpreted scalar kernel kept as the correctness
 oracle.  ``REPRO_SIM_ENGINE`` forces one explicitly.  The engine choice
 never affects results (bitwise, test-enforced) and is therefore *not*
 part of scenario cache keys; the backend is.  Callers do not pick this
@@ -109,13 +109,14 @@ def available_engines() -> Dict[str, bool]:
 def resolve_engine(requested: Optional[str] = None) -> Optional[str]:
     """Pick the kernel engine, or ``None`` when no compiled one exists.
 
-    Priority: explicit ``requested`` > ``REPRO_SIM_ENGINE`` >
-    ``REPRO_SIM_JIT=1`` (numba when importable) > the C build when a
-    system compiler exists.  Forcing an unavailable engine raises
-    :class:`SimulationError`; the automatic path returns ``None`` when
-    neither compiled engine resolves, and the caller then runs the
-    per-seed batched lane (the interpreted kernel is never picked
-    automatically — it is the test oracle, not a fallback).
+    Priority: explicit ``requested`` > ``REPRO_SIM_ENGINE`` > the C
+    build when a system compiler exists.  Forcing an unavailable
+    engine raises :class:`SimulationError`; the automatic path returns
+    ``None`` when there is no C build, and the caller then runs the
+    per-seed batched lane.  Neither numba (its JIT cost is paid per
+    process, unmeasured against the per-seed lane) nor the
+    interpreted kernel (the test oracle) is ever picked
+    automatically.
     """
     name = requested or os.environ.get("REPRO_SIM_ENGINE") or ""
     if name:
@@ -135,8 +136,6 @@ def resolve_engine(requested: Optional[str] = None) -> Optional[str]:
                 "be built (no compiler, failed build, or REPRO_SIM_CC=0)"
             )
         return name
-    if os.environ.get("REPRO_SIM_JIT") == "1" and _load_numba() is not None:
-        return "numba"
     if _mbcc.load_kernel() is not None:
         return "cc"
     return None

@@ -310,6 +310,32 @@ class TestDistCliValidation:
         assert proc.returncode == 2
         assert "error: duration" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "serve", "--port", "70000"],
+            ["dist", "serve", "--port", "0", "--http", "99999"],
+            ["serve", "--broker", "127.0.0.1:7070", "--port", "-5"],
+            ["dist", "top", "127.0.0.1:70000", "--once"],
+        ],
+        ids=["serve-port", "serve-http", "obs-serve-port", "top-address"],
+    )
+    def test_out_of_range_port_is_a_clean_error(self, argv):
+        # Each used to end in a traceback (OverflowError from bind(), a
+        # dead HTTP thread) or a misleading "connection refused".
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli"] + argv,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error: port must be in 0..65535" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_authkey_runtime_flag_parses(self):
         args = build_parser().parse_args([
             "simulate", "a.soc", "--budget", "8",

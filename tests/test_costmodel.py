@@ -1,23 +1,21 @@
 """Tests for repro.dist.costmodel — the scheduler's runtime predictor.
 
-The model is a scheduling *hint* with hard invariants: equal features
-predict equal costs (cold-start FIFO equivalence rides on this plus
-stable sorts), predictions scale with the job's work units, every
-observation refines the whole key hierarchy, and state round-trips
-through JSON so brokers warm-start across runs.  Malformed inputs
-(bench artifacts, persisted files, runtimes) must degrade to a cold
-start, never to an exception — a broken hint must not break a fleet.
+The model is a scheduling *hint* with hard invariants: only a job
+whose exact ``kind|scenario|sim_backend|budget`` key has been observed
+gets a prediction (unseen jobs predict ``None`` and dispatch in arrival
+order), equal features predict equal costs (stable sorts keep
+submission order among them), predictions scale with the job's work
+units, and state round-trips through JSON so brokers warm-start across
+runs.  Malformed inputs (persisted files, runtimes) must degrade to a
+cold start, never to an exception — a broken hint must not break a
+fleet.
 """
 
 import json
 
 import pytest
 
-from repro.dist.costmodel import (
-    DEFAULT_UNIT_COST,
-    CostModel,
-    job_features,
-)
+from repro.dist.costmodel import STATE_SCHEMA, CostModel, job_features
 from repro.dist.jobs import echo, run_block, sleep_block
 
 
@@ -55,62 +53,48 @@ class TestJobFeatures:
 
 
 class TestPredict:
-    def test_cold_predictions_scale_with_units(self):
+    def test_seen_predictions_scale_with_units(self):
         model = CostModel()
+        model.observe({"kind": "k", "units": 2.0}, 1.0)
         small = model.predict({"kind": "k", "units": 1.0})
         large = model.predict({"kind": "k", "units": 10.0})
+        assert small == pytest.approx(0.5)
         assert large == pytest.approx(10 * small)
-        assert small == pytest.approx(DEFAULT_UNIT_COST)
 
     def test_equal_features_predict_equal_costs(self):
-        # The cold-start FIFO-equivalence precondition: the scheduler's
-        # stable sort keeps submission order among these.
+        # Stable sorts keep submission order among these.
         model = CostModel()
+        model.observe({"kind": "k", "scenario": "s", "units": 1.0}, 0.5)
         a = model.predict({"kind": "k", "scenario": "s", "units": 2.0})
         b = model.predict({"kind": "k", "scenario": "s", "units": 2.0})
-        assert a == b
+        assert a == b == pytest.approx(1.0)
 
-    def test_most_specific_key_wins(self):
+    def test_only_the_exact_key_predicts(self):
         model = CostModel()
         fine = {
             "kind": "k", "scenario": "s", "sim_backend": "b",
             "budget": 8, "units": 1.0,
         }
-        coarse = {"kind": "k", "scenario": "other", "units": 1.0}
+        assert model.predict(fine) is None  # cold model: nothing seen
         model.observe(fine, 2.0)
-        # The same scenario+backend at a *new* budget inherits the
-        # scenario-level rate from that one observation.
-        sibling = dict(fine, budget=16)
         assert model.predict(fine) == pytest.approx(2.0)
-        assert model.predict(sibling) == pytest.approx(2.0)
-        # A different scenario only has kind-level and global data.
-        assert model.predict(coarse) == pytest.approx(2.0)
+        # Every field of the key counts: a new budget, backend,
+        # scenario or kind is a job the model has never seen.
+        for name, value in (
+            ("budget", 16),
+            ("sim_backend", "heap"),
+            ("scenario", "other"),
+            ("kind", "other"),
+        ):
+            assert model.predict(dict(fine, **{name: value})) is None
+        dropped = {k: v for k, v in fine.items() if k != "budget"}
+        assert model.predict(dropped) is None
 
-    def test_prior_scales_the_default(self):
+    def test_featureless_jobs_are_unseen(self):
         model = CostModel()
-        model.seed_from_bench(
-            {
-                "benchmarks": [
-                    {
-                        "extra_info": {"scenario": "slow"},
-                        "stats": {"mean": 3.0},
-                    },
-                    {
-                        "extra_info": {"scenario": "fast"},
-                        "stats": {"mean": 1.0},
-                    },
-                ]
-            }
-        )
-        slow = model.predict({"kind": "k", "scenario": "slow", "units": 1.0})
-        fast = model.predict({"kind": "k", "scenario": "fast", "units": 1.0})
-        assert slow == pytest.approx(3 * fast)
-
-    def test_featureless_prediction_is_finite(self):
-        model = CostModel()
-        assert model.predict(None) == pytest.approx(DEFAULT_UNIT_COST)
         model.observe({"kind": "k", "units": 1.0}, 0.5)
-        assert model.predict(None) == pytest.approx(0.5)
+        assert model.predict(None) is None
+        assert model.predict({}) is None
 
 
 class TestObserve:
@@ -137,40 +121,7 @@ class TestObserve:
         for bad in (None, -1.0, float("nan"), float("inf")):
             model.observe(features, bad)
         assert model.observations == 0
-        assert model.predict(features) == pytest.approx(DEFAULT_UNIT_COST)
-
-
-class TestBenchSeeding:
-    def test_seed_from_bench_file(self, tmp_path):
-        path = tmp_path / "BENCH_quick.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {
-                            "extra_info": {"scenario": "amba"},
-                            "stats": {"mean": 4.0},
-                        },
-                        {
-                            "extra_info": {"scenario": "netproc"},
-                            "stats": {"mean": 2.0},
-                        },
-                    ]
-                }
-            )
-        )
-        model = CostModel()
-        assert model.seed_from_bench(path) == 2
-        assert model.stats()["priors"] == 2
-
-    def test_malformed_sources_seed_nothing(self, tmp_path):
-        model = CostModel()
-        assert model.seed_from_bench(tmp_path / "missing.json") == 0
-        assert model.seed_from_bench({"benchmarks": "nope"}) == 0
-        assert model.seed_from_bench(
-            {"benchmarks": [{"extra_info": {}, "stats": {"mean": 1.0}}]}
-        ) == 0
-        assert model.seed_from_bench(None) == 0
+        assert model.predict(features) is None
 
 
 class TestPersistence:
@@ -178,19 +129,10 @@ class TestPersistence:
         model = CostModel()
         features = {"kind": "k", "scenario": "s", "units": 3.0}
         model.observe(features, 1.5)
-        model.seed_from_bench(
-            {
-                "benchmarks": [
-                    {
-                        "extra_info": {"scenario": "x"},
-                        "stats": {"mean": 1.0},
-                    }
-                ]
-            }
-        )
         restored = CostModel()
         assert restored.from_state(model.to_state())
         assert restored.predict(features) == model.predict(features)
+        assert restored.predict(features) is not None
         assert restored.observations == model.observations
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -213,16 +155,22 @@ class TestPersistence:
         wrong_schema = tmp_path / "wrong.json"
         wrong_schema.write_text(json.dumps({"schema": 999}))
         assert not model.load(wrong_schema)
+        # Files written before the exact-key model (schema 1 carried
+        # hierarchy keys and priors) are a cold start too.
+        old = tmp_path / "old.json"
+        old.write_text(
+            json.dumps({"schema": 1, "rates": {"k": [0.1, 3]}, "priors": {}})
+        )
+        assert not model.load(old)
+        assert model.predict({"kind": "k", "units": 1.0}) is None
 
     def test_corrupt_state_resets_instead_of_half_loading(self):
         model = CostModel()
         model.observe({"kind": "k", "units": 1.0}, 1.0)
         assert not model.from_state(
-            {"schema": 1, "rates": {"k": ["not-a-number", 1]}}
+            {"schema": STATE_SCHEMA, "rates": {"k": ["not-a-number", 1]}}
         )
-        assert model.predict({"kind": "k", "units": 1.0}) == (
-            pytest.approx(DEFAULT_UNIT_COST)
-        )
+        assert model.predict({"kind": "k", "units": 1.0}) is None
 
     def test_invalid_alpha_rejected(self):
         for alpha in (0.0, -0.5, 1.5):
@@ -234,5 +182,5 @@ class TestStats:
     def test_stats_keys(self):
         model = CostModel()
         assert set(model.stats()) == {
-            "observations", "entries", "priors", "mean_abs_rel_err",
+            "observations", "entries", "mean_abs_rel_err",
         }

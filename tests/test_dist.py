@@ -96,13 +96,28 @@ def _complete(broker, worker_id, job_id, result, runtime=None):
     broker.complete_many(worker_id, [(job_id, result, runtime)])
 
 
-def _start_worker(address, **kwargs):
+def _start_worker(address, target=worker_loop, **kwargs):
     kwargs.setdefault("poll_interval", 0.02)
     process = _FORK.Process(
-        target=worker_loop, args=(address,), kwargs=kwargs, daemon=True
+        target=target, args=(address,), kwargs=kwargs, daemon=True
     )
     process.start()
     return process
+
+
+def _crash_on_first_job(address, **kwargs):
+    """A worker process that dies (``os._exit``) on the first job it
+    runs — after leasing it, so its lease must be reaped."""
+    from repro import faults
+
+    faults.install(
+        faults.FaultInjector(
+            faults.FaultPlan(
+                events=[faults.FaultEvent("worker_crash", "worker.execute")]
+            )
+        )
+    )
+    worker_loop(address, **kwargs)
 
 
 @pytest.fixture()
@@ -125,6 +140,13 @@ class TestParseAddress:
         for bad in ("no-port", "host:", ":70", 7, "host:port"):
             with pytest.raises(ReproError):
                 parse_address(bad)
+
+    def test_rejects_out_of_range_ports(self):
+        for bad in ("host:70000", "host:65536", ("host", 70000), ("host", -5)):
+            with pytest.raises(ReproError, match="0..65535"):
+                parse_address(bad)
+        assert parse_address("host:65535") == ("host", 65535)
+        assert parse_address(("host", 0)) == ("host", 0)
 
 
 class TestBrokerProtocol:
@@ -758,7 +780,7 @@ class _TricklingBroker:
         self.dropped = False
         self._count = 0
 
-    def submit(self, batch_id, payloads, features=None, schedule=None):
+    def submit(self, batch_id, payloads, features=None):
         self.total = len(payloads)
 
     def fetch_ready(self, batch_id, start):
@@ -1047,34 +1069,45 @@ def _sleepy(item):
 
 
 class TestCostScheduling:
-    """The schedule="cost" policy: LPT dispatch, sized leases, pinning.
+    """The one dispatch rule: unseen jobs first, seen jobs LPT.
 
-    Every test here is about *when* jobs run, never *what* they
-    return — the determinism matrix below pins down that the answers
-    are bitwise the serial ones regardless.
+    A job is *seen* once this broker has completed a job of its exact
+    ``kind|scenario|sim_backend|budget`` key.  Every test here is about
+    *when* jobs run, never *what* they return — the determinism matrix
+    below pins down that the answers are bitwise the serial ones
+    regardless.
     """
 
     def _trained_broker(self, unit_cost=0.1, **kwargs):
-        """A cost-mode broker whose model predicts ``unit_cost``/unit."""
-        kwargs.setdefault("schedule", "cost")
+        """A broker that has completed ``echo`` at ``unit_cost``/unit."""
         broker = Broker(lease_timeout=10.0, **kwargs)
-        for _ in range(10):
-            broker.cost_model.observe({"kind": "echo", "units": 1.0}, unit_cost)
+        broker.submit(
+            "warm-up", [JobPayload(echo, 0)], features=self._features([1])
+        )
+        ((job_id, payload),) = _lease(broker, "warm-up")
+        _complete(broker, "warm-up", job_id, payload.item, runtime=unit_cost)
         return broker
 
     @staticmethod
-    def _dispatch_order(broker):
-        """Job indices in the order successive leases hand them out."""
-        order = []
+    def _leases(broker, max_jobs=1):
+        """``(indices, pinned)`` of each successive lease until empty."""
+        leases = []
         while True:
-            jobs = _lease(broker, "w")
-            if not jobs:
-                return order
-            order += [job_id[1] for job_id, _ in jobs]
+            lease = broker.lease_jobs("w", max_jobs=max_jobs)
+            if not lease["jobs"]:
+                return leases
+            leases.append(
+                ([job_id[1] for job_id, _ in lease["jobs"]], lease["pinned"])
+            )
+
+    @classmethod
+    def _dispatch_order(cls, broker):
+        """Job indices in the order successive leases hand them out."""
+        return [i for indices, _ in cls._leases(broker) for i in indices]
 
     @staticmethod
-    def _features(units_list):
-        return [{"kind": "echo", "units": float(u)} for u in units_list]
+    def _features(units_list, kind="echo"):
+        return [{"kind": kind, "units": float(u)} for u in units_list]
 
     def test_cost_batch_dispatches_longest_first(self):
         broker = self._trained_broker()
@@ -1083,34 +1116,61 @@ class TestCostScheduling:
             "b",
             [JobPayload(echo, i) for i in range(4)],
             features=self._features(units),
-            schedule="cost",
         )
         order = self._dispatch_order(broker)
         assert order == [1, 3, 2, 0]  # indices by descending units
+        assert broker.stats()["predicted_jobs"] == 4
 
     def test_cold_start_cost_order_equals_fifo(self):
-        # No observations, identical features: predictions tie, the
-        # stable sort keeps submission order — exactly FIFO.
-        broker = Broker(lease_timeout=10.0, schedule="cost")
+        # A cold model has seen nothing: no job gets a prediction, so
+        # the batch dispatches in arrival order (FIFO) —
+        # ``prefetch``-sized leases in submission order, never pinned,
+        # never resized.
+        broker = Broker(lease_timeout=10.0)
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(5)],
-            features=self._features([1, 1, 1, 1, 1]),
-            schedule="cost",
+            features=self._features([1, 9, 1, 4, 1]),
         )
-        order = self._dispatch_order(broker)
-        assert order == [0, 1, 2, 3, 4]
+        assert self._leases(broker, max_jobs=2) == [
+            ([0, 1], False),
+            ([2, 3], False),
+            ([4], False),
+        ]
+        stats = broker.stats()
+        assert stats["predicted_jobs"] == 0
+        assert stats["lease_resizes"] == 0
+        assert stats["pinned_leases"] == 0
 
     def test_fifo_batches_ignore_the_cost_order(self):
+        # The model knows "echo", but this batch is all "fresh" jobs it
+        # has never seen: arrival order, whatever the units say.
         broker = self._trained_broker()
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(3)],
-            features=self._features([1, 9, 1]),
-            schedule="fifo",
+            features=self._features([1, 9, 1], kind="fresh"),
         )
-        order = self._dispatch_order(broker)
-        assert order == [0, 1, 2]
+        assert self._dispatch_order(broker) == [0, 1, 2]
+        assert broker.stats()["predicted_jobs"] == 0
+
+    def test_unseen_jobs_dispatch_first_in_arrival_order(self):
+        # "echo" is seen, "fresh" is not: the unseen jobs go first in
+        # the order they arrived, then the seen ones longest-first.
+        broker = self._trained_broker()
+        features = [
+            {"kind": "echo", "units": 1.0},
+            {"kind": "fresh", "units": 1.0},
+            {"kind": "echo", "units": 9.0},
+            {"kind": "fresh", "units": 50.0},
+            {"kind": "echo", "units": 3.0},
+            {"kind": "fresh", "units": 2.0},
+        ]
+        broker.submit(
+            "b", [JobPayload(echo, i) for i in range(6)], features=features
+        )
+        assert self._dispatch_order(broker) == [1, 3, 5, 2, 4, 0]
+        assert broker.stats()["predicted_jobs"] == 3
 
     def test_cheap_jobs_lease_in_bulk_and_pinned(self):
         # unit cost 0.1, lease_target 0.5 -> five 1-unit jobs per lease.
@@ -1119,7 +1179,6 @@ class TestCostScheduling:
             "b",
             [JobPayload(echo, i) for i in range(8)],
             features=self._features([1] * 8),
-            schedule="cost",
         )
         lease = broker.lease_jobs("w1", max_jobs=2)
         assert len(lease["jobs"]) == 5
@@ -1136,7 +1195,6 @@ class TestCostScheduling:
             "b",
             [JobPayload(echo, i) for i in range(3)],
             features=self._features([50, 1, 1]),
-            schedule="cost",
         )
         lease = broker.lease_jobs("w1", max_jobs=4)
         assert [job_id for job_id, _ in lease["jobs"]] == [("b", 0)]
@@ -1149,23 +1207,17 @@ class TestCostScheduling:
         assert _lease(broker, "w2", max_jobs=1)[0][0] == ("b", 0)
 
     def test_featureless_lease_respects_requested_max_jobs(self):
-        broker = Broker(lease_timeout=10.0)  # fifo, no features
+        broker = self._trained_broker()  # no features: nothing is seen
         broker.submit("b", [JobPayload(echo, i) for i in range(6)])
         lease = broker.lease_jobs("w1", max_jobs=2)
         assert len(lease["jobs"]) == 2
         assert not lease["pinned"]
         assert broker.stats()["lease_resizes"] == 0
 
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ReproError):
-            Broker(lease_timeout=10.0, schedule="random")
-        broker = Broker(lease_timeout=10.0)
-        with pytest.raises(ReproError):
-            broker.submit("b", [JobPayload(echo, 0)], schedule="lifo")
-        with pytest.raises(ReproError):
-            Broker(lease_timeout=10.0, lease_target=0.0)
-        with pytest.raises(ReproError):
-            DistExecutor("127.0.0.1:1", schedule="random")
+    def test_invalid_lease_target_rejected(self):
+        for target in (0.0, -1.0):
+            with pytest.raises(ReproError):
+                Broker(lease_timeout=10.0, lease_target=target)
 
 
 class TestBatchedTransport:
@@ -1243,8 +1295,7 @@ class TestAdaptivePolling:
                 self.fetches = 0
                 self.total = 0
 
-            def submit(self, batch_id, payloads, features=None,
-                       schedule=None):
+            def submit(self, batch_id, payloads, features=None):
                 self.total = len(payloads)
 
             def fetch_ready(self, batch_id, start):
@@ -1321,25 +1372,37 @@ class TestAdaptivePolling:
 class TestCostModelPersistenceEndToEnd:
     def test_broker_saves_and_warm_starts_from_path(self, tmp_path):
         path = tmp_path / "costmodel.json"
-        broker = Broker(
-            lease_timeout=10.0, schedule="cost", cost_model_path=str(path)
-        )
+        broker = Broker(lease_timeout=10.0, cost_model_path=str(path))
         features = {"kind": "echo", "units": 1.0}
         broker.submit(
             "b",
             [JobPayload(echo, i) for i in range(2)],
             features=[features, features],
-            schedule="cost",
         )
         for job_id, payload in broker.lease_jobs("w", max_jobs=2)["jobs"]:
             _complete(broker, "w", job_id, payload.item, runtime=0.2)
         assert broker.cost_save()
         assert path.exists()
-        reborn = Broker(
-            lease_timeout=10.0, schedule="cost", cost_model_path=str(path)
-        )
+        reborn = Broker(lease_timeout=10.0, cost_model_path=str(path))
         assert reborn.cost_model.predict(features) == pytest.approx(
             broker.cost_model.predict(features)
+        )
+        # A loaded rate is history: the reborn broker's shared cache is
+        # empty, so its first batch dispatches in arrival order ...
+        reborn.submit(
+            "b", [JobPayload(echo, 0)], features=[features]
+        )
+        assert reborn.stats()["predicted_jobs"] == 0
+        ((job_id, payload),) = _lease(reborn, "w")
+        _complete(reborn, "w", job_id, payload.item, runtime=0.6)
+        # ... and once it has run the job itself, the next batch is
+        # predicted from the loaded rate blended with the new runtime.
+        reborn.submit(
+            "c", [JobPayload(echo, 0)], features=[features]
+        )
+        assert reborn.stats()["predicted_jobs"] == 1
+        assert reborn.cost_model.predict(features) == pytest.approx(
+            0.75 * 0.2 + 0.25 * 0.6
         )
 
     def test_server_stop_persists_the_model(self, tmp_path):
@@ -1347,7 +1410,6 @@ class TestCostModelPersistenceEndToEnd:
         server = BrokerServer(
             port=0,
             lease_timeout=LEASE_TIMEOUT,
-            schedule="cost",
             cost_model_path=str(path),
         ).start_in_thread()
         server.broker.cost_model.observe(
@@ -1360,7 +1422,7 @@ class TestCostModelPersistenceEndToEnd:
         ).cost_model
         assert model_state.observations == 1
 
-    def test_cost_seed_accepts_snapshot_and_bench_json(self):
+    def test_cost_seed_accepts_a_snapshot_only(self):
         source = Broker(lease_timeout=10.0)
         source.cost_model.observe({"kind": "echo", "units": 1.0}, 0.7)
         target = Broker(lease_timeout=10.0)
@@ -1368,57 +1430,77 @@ class TestCostModelPersistenceEndToEnd:
         assert target.cost_model.predict(
             {"kind": "echo", "units": 1.0}
         ) == pytest.approx(0.7)
+        # A seeded rate is history: the broker has not run "echo" yet.
+        target.submit(
+            "b", [JobPayload(echo, 0)], features=[{"kind": "echo"}]
+        )
+        assert target.stats()["predicted_jobs"] == 0
+        # A pytest-benchmark document is not a model state.
         bench_target = Broker(lease_timeout=10.0)
-        assert bench_target.cost_seed(
+        assert not bench_target.cost_seed(
             {
                 "benchmarks": [
                     {
                         "extra_info": {"scenario": "amba"},
                         "stats": {"mean": 2.0},
                     },
-                    {
-                        "extra_info": {"scenario": "netproc"},
-                        "stats": {"mean": 1.0},
-                    },
                 ]
             }
         )
-        assert bench_target.cost_model.stats()["priors"] == 2
+        assert bench_target.cost_model.stats()["entries"] == 0
 
 
 class TestCostDeterminismMatrix:
-    """schedule="cost" cannot change a single bit of any result."""
+    """What the model knows cannot change a single bit of any result."""
 
     MATRIX = dict(budgets=[8, 16], replications=2, duration=100.0)
 
-    def test_cost_fifo_serial_identical_under_worker_death(self, server):
+    def test_cold_warm_serial_identical_under_worker_death(self, server):
         # The default sim_backend runs the kernel whenever one resolves.
         serial = run_matrix(["single-bus-4"], jobs=1, **self.MATRIX)
-        workers = [_start_worker(server.address) for _ in range(2)]
-        killer = threading.Timer(0.4, workers[0].kill)
-        killer.start()
-        try:
-            executor = DistExecutor(
-                server.address, poll_interval=0.02, timeout=240
+        executor = DistExecutor(
+            server.address, poll_interval=0.02, timeout=240
+        )
+        workers = []
+
+        def run_pass_with_a_death():
+            # The crashing worker is alone until it dies holding its
+            # lease; only then does a healthy worker join, so every
+            # pass reaps a lease and re-runs its jobs elsewhere.
+            crasher = _start_worker(server.address, target=_crash_on_first_job)
+            workers.append(crasher)
+
+            def replace_the_dead():
+                crasher.join()
+                workers.append(_start_worker(server.address))
+
+            threading.Thread(target=replace_the_dead, daemon=True).start()
+            before = executor.stats()
+            outcome = run_matrix(
+                ["single-bus-4"], executor=executor, **self.MATRIX
             )
-            cost = run_matrix(
-                ["single-bus-4"],
-                executor=executor,
-                schedule="cost",
-                **self.MATRIX,
-            )
-            fifo = run_matrix(
-                ["single-bus-4"],
-                executor=executor,
-                schedule="fifo",
-                **self.MATRIX,
-            )
-        finally:
-            killer.cancel()
+            after = executor.stats()
+            assert crasher.exitcode == 17
+            assert after["reaped_jobs"] > before["reaped_jobs"]
             for worker in workers:
                 worker.terminate()
-        assert cost.to_jsonable() == serial.to_jsonable()
-        assert fifo.to_jsonable() == serial.to_jsonable()
+                worker.join()
+            workers.clear()
+            return outcome, after["predicted_jobs"] - before["predicted_jobs"]
+
+        try:
+            # First pass on a fresh broker: every block is unseen, so
+            # it dispatches in arrival order.  The second pass finds
+            # every block's key completed: LPT order, sized leases.
+            cold, cold_predicted = run_pass_with_a_death()
+            warm, warm_predicted = run_pass_with_a_death()
+        finally:
+            for worker in workers:
+                worker.terminate()
+        assert cold_predicted == 0
+        assert warm_predicted == len(build_matrix(["single-bus-4"], **self.MATRIX))
+        assert cold.to_jsonable() == serial.to_jsonable()
+        assert warm.to_jsonable() == serial.to_jsonable()
 
     def test_cost_schedule_with_steals_matches_serial_map(self, server):
         # Skewed sleeps + two workers: the second worker drains the
@@ -1427,10 +1509,7 @@ class TestCostDeterminismMatrix:
         workers = [_start_worker(server.address) for _ in range(2)]
         try:
             executor = DistExecutor(
-                server.address,
-                poll_interval=0.02,
-                timeout=60,
-                schedule="cost",
+                server.address, poll_interval=0.02, timeout=60
             )
             items = [
                 {"index": i, "duration": 0.2 if i == 7 else 0.01}

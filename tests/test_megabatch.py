@@ -231,8 +231,18 @@ class TestEngines:
         monkeypatch.setenv("REPRO_SIM_ENGINE", "python")
         assert resolve_engine() == "python"
         monkeypatch.delenv("REPRO_SIM_ENGINE")
-        # The automatic path only ever picks a compiled engine.
-        assert resolve_engine() in ("numba", "cc", None)
+        # The automatic path only ever picks the C build.
+        assert resolve_engine() in ("cc", None)
+
+    def test_numba_runs_only_when_forced(self, monkeypatch):
+        from repro.sim import _mbcc, megabatch
+
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        monkeypatch.setattr(_mbcc, "load_kernel", lambda: None)
+        monkeypatch.setattr(megabatch, "_load_numba", lambda: object())
+        assert resolve_engine() is None
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "numba")
+        assert resolve_engine() == "numba"
 
 
 # -- kernel-path gating and fallback ------------------------------------
@@ -271,7 +281,6 @@ class TestSupportGate:
         from repro.sim import _mbcc, megabatch
 
         monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SIM_JIT", raising=False)
         monkeypatch.setattr(_mbcc, "load_kernel", lambda: None)
         monkeypatch.setattr(megabatch, "_load_numba", lambda: None)
 
@@ -469,7 +478,6 @@ class TestCacheKey:
         with monkeypatch.context() as patch:
             patch.setattr(_mbcc, "load_kernel", lambda: None)
             patch.delenv("REPRO_SIM_ENGINE", raising=False)
-            patch.delenv("REPRO_SIM_JIT", raising=False)
             per_seed = ExecutionContext(jobs=1, cache=memo).replicate(
                 topology, capacities, **kwargs
             )
@@ -494,7 +502,6 @@ class TestCacheKey:
         from repro.sim import _mbcc
 
         monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SIM_JIT", raising=False)
         if not compiled:
             monkeypatch.setattr(_mbcc, "load_kernel", lambda: None)
         topology, capacities = _cell("fig1")

@@ -324,7 +324,7 @@ class TestBrokerAggregation:
         broker = Broker(lease_timeout=10.0)
         assert set(broker.stats()) == {
             "workers", "pending", "leased", "batches", "completed",
-            "steals", "reaped_jobs", "dropped_batches", "schedule",
+            "steals", "reaped_jobs", "dropped_batches", "predicted_jobs",
             "lease_grants", "lease_jobs", "lease_resizes",
             "pinned_leases", "batched_uploads", "batched_jobs",
         }
@@ -534,6 +534,33 @@ class TestConsole:
     def test_render_top_empty_fleet(self):
         frame = render_top({})
         assert "no workers have reported metrics" in frame
+
+    def test_predicted_jobs_shown_in_top_and_metrics(self):
+        # The scheduler row and the exposition show how many jobs the
+        # broker dispatched from predictions (seen) vs arrival order.
+        from repro.obs.promexport import parse_prometheus, render_prometheus
+
+        broker = Broker(lease_timeout=10.0)
+        broker.submit(
+            "warm-up", [JobPayload(echo, 0)], features=[{"kind": "echo"}]
+        )
+        ((job_id, payload),) = broker.lease_jobs("w")["jobs"]
+        broker.complete_many("w", [(job_id, payload.item, 0.1)])
+        broker.submit(
+            "b",
+            [JobPayload(echo, i) for i in range(3)],
+            features=[
+                {"kind": "echo", "units": 1.0},
+                {"kind": "fresh", "units": 1.0},
+                {"kind": "echo", "units": 1.0},
+            ],
+        )
+        snapshot = broker.obs_snapshot()
+        assert "scheduler: predicted 2  " in render_top(snapshot)
+        families = parse_prometheus(render_prometheus(snapshot))
+        assert families["repro_queue_predicted_jobs_total"]["samples"][0][2] == 2
+        # One counter, one family: the scheduler gauges do not repeat it.
+        assert "repro_scheduler_predicted_jobs" not in families
 
     def test_render_top_shows_snapshot_age(self):
         frame = render_top(self.STAMPED, now_wall=1003.5)
